@@ -3,8 +3,8 @@
 //    matvec — the cache-friendliness argument behind the hexahedral design
 //    (and the ~10x memory gap);
 //  * the blocked element kernel vs the straight-line reference
-//    (hex_apply / hex_apply_batch A/B rows — run these interleaved and
-//    repeated, they are the evidence for the SIMD restructuring);
+//    (hex_apply A/B rows — run these interleaved and repeated, they are
+//    the evidence for the SIMD restructuring);
 //  * Morton encode/decode;
 //  * 2-to-1 balancing algorithms;
 //  * etree store point operations.
@@ -119,46 +119,6 @@ void BM_HexApplyRef(benchmark::State& state) {
   hex_apply_ab(state, &fem::hex_apply_ref);
 }
 BENCHMARK(BM_HexApplyRef)->Arg(0)->Arg(1);
-
-// Batched (scenario-lane) kernel A/B at the lane widths the dispatcher
-// specializes. arg 0 = lane count; damping always on (the solver's batch
-// path runs with Rayleigh damping in every Table 2-1 configuration).
-using HexBatchKernel = void (*)(const fem::HexReference&, const double*, int,
-                                double, double, double*, double, double*);
-
-void hex_apply_batch_ab(benchmark::State& state, HexBatchKernel kernel) {
-  const fem::HexReference& ref = fem::HexReference::get();
-  const int lanes = static_cast<int>(state.range(0));
-  constexpr int kElems = 1024;
-  util::Rng rng(11);
-  std::vector<double> u(static_cast<std::size_t>(kElems) * fem::kHexDofs *
-                        static_cast<std::size_t>(lanes));
-  std::vector<double> y(u.size(), 0.0), d(u.size(), 0.0);
-  for (double& v : u) v = rng.uniform(-1.0, 1.0);
-  const std::size_t stride =
-      static_cast<std::size_t>(fem::kHexDofs) * static_cast<std::size_t>(lanes);
-  for (auto _ : state) {
-    for (int e = 0; e < kElems; ++e) {
-      const std::size_t off = static_cast<std::size_t>(e) * stride;
-      kernel(ref, &u[off], lanes, 1.1, 0.9, &y[off], 0.02, &d[off]);
-    }
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.counters["Mflop/s"] = benchmark::Counter(
-      static_cast<double>(kElems) * static_cast<double>(lanes) *
-          static_cast<double>(fem::hex_apply_flops(true)) * 1e-6,
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-
-void BM_HexApplyBatchBlocked(benchmark::State& state) {
-  hex_apply_batch_ab(state, &fem::hex_apply_batch);
-}
-BENCHMARK(BM_HexApplyBatchBlocked)->Arg(4)->Arg(8)->Arg(16);
-
-void BM_HexApplyBatchRef(benchmark::State& state) {
-  hex_apply_batch_ab(state, &fem::hex_apply_batch_ref);
-}
-BENCHMARK(BM_HexApplyBatchRef)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_MortonEncodeDecode(benchmark::State& state) {
   util::Rng rng(2);

@@ -11,22 +11,19 @@
 // the victim fails alone, its neighbors' results stay bit-identical, and
 // the same service keeps serving afterwards.
 //
-// Two scaling sweeps ride on the same scenarios (see docs/BATCHING.md):
-// a lane sweep (requests/sec through L worker lanes, each a full
-// ParallelSetup replica) and a batch sweep (one lane coalescing S requests
-// into a single scenario-batched run_batch solve). Both are checked
-// bitwise against the cold baseline — more lanes or a wider batch must
-// change throughput only, never a single bit of any seismogram.
+// A lane sweep rides on the same scenarios: requests/sec through L worker
+// lanes, each a full ParallelSetup replica. It is checked bitwise against
+// the cold baseline — more lanes must change throughput only, never a
+// single bit of any seismogram.
 //
 //   bench_throughput [--quick] [--json PATH] [--csv PATH]
-//                    [--requests N] [--lanes L1,L2,...] [--batch-sizes S1,...]
+//                    [--requests N] [--lanes L1,L2,...]
 //
 // Emits a "quake.bench/1" report (default BENCH_throughput.json) with rows
-// params.mode = cold | warm | lanes | batch | kill; tools/check_bench_schema
-// pins the throughput contract (requests completed, cold-vs-warm wall
-// seconds, zero failed requests in the clean trial, >= 2 lane counts with
-// bitwise-checked requests/sec, batch rows bitwise-identical to unbatched,
-// bitwise kill isolation).
+// params.mode = cold | warm | lanes | kill; tools/check_bench_schema pins
+// the throughput contract (requests completed, cold-vs-warm wall seconds,
+// zero failed requests in the clean trial, >= 2 lane counts with
+// bitwise-checked requests/sec, bitwise kill isolation).
 
 #include <algorithm>
 #include <array>
@@ -105,9 +102,8 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::string json_path = "BENCH_throughput.json";
   std::string csv_path;
-  int n_requests = 8;                      // requests per batch (--requests)
+  int n_requests = 8;                      // requests per arm (--requests)
   std::vector<int> lane_counts = {1, 2};   // lane sweep (--lanes)
-  std::vector<int> batch_sizes = {1, 2, 4};  // batch sweep (--batch-sizes)
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--quick") == 0) {
       quick = true;
@@ -119,13 +115,10 @@ int main(int argc, char** argv) {
       n_requests = std::stoi(argv[++a]);
     } else if (std::strcmp(argv[a], "--lanes") == 0 && a + 1 < argc) {
       lane_counts = parse_int_list(argv[++a]);
-    } else if (std::strcmp(argv[a], "--batch-sizes") == 0 && a + 1 < argc) {
-      batch_sizes = parse_int_list(argv[++a]);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--json PATH] [--csv PATH] "
-                   "[--requests N] [--lanes L1,L2,...] [--batch-sizes "
-                   "S1,S2,...]\n",
+                   "[--requests N] [--lanes L1,L2,...]\n",
                    argv[0]);
       return 2;
     }
@@ -144,7 +137,7 @@ int main(int argc, char** argv) {
   mopt.max_level = quick ? 6 : 7;
 
   const int R = 2;             // ranks (small: the host serializes threads)
-  const int N = n_requests;    // requests per batch (the ISSUE's A/B size)
+  const int N = n_requests;    // requests per arm (the A/B size)
   const int target_steps = quick ? 6 : 16;
   const int trials = quick ? 2 : 3;
 
@@ -184,9 +177,9 @@ int main(int argc, char** argv) {
               "per solve, %d interleaved trials\n",
               N, R, mesh.n_nodes(), target_steps, trials);
 
-  // ---- cold batch: full pipeline per request ------------------------------
+  // ---- cold arm: full pipeline per request --------------------------------
   std::vector<par::ParallelResult> cold_results;
-  const auto cold_batch = [&]() {
+  const auto cold_arm = [&]() {
     util::Timer t;
     std::vector<par::ParallelResult> results;
     results.reserve(static_cast<std::size_t>(N));
@@ -207,11 +200,11 @@ int main(int argc, char** argv) {
     return wall;
   };
 
-  // ---- warm batch: N requests through one service -------------------------
+  // ---- warm arm: N requests through one service ---------------------------
   std::vector<svc::ScenarioResult> warm_results;
   double setup_seconds = 0.0;
   obs::Registry warm_metrics;
-  const auto warm_batch = [&]() {
+  const auto warm_arm = [&]() {
     util::Timer ts;
     solver::SolverOptions so = sopt;
     so.t_end = t_end;
@@ -244,10 +237,10 @@ int main(int argc, char** argv) {
   double cold_min = 1e300, cold_sum = 0.0;
   double warm_min = 1e300, warm_sum = 0.0;
   for (int t = 0; t < trials; ++t) {
-    const double c = cold_batch();
+    const double c = cold_arm();
     cold_min = std::min(cold_min, c);
     cold_sum += c;
-    const double w = warm_batch();
+    const double w = warm_arm();
     warm_min = std::min(warm_min, w);
     warm_sum += w;
   }
@@ -396,90 +389,6 @@ int main(int argc, char** argv) {
                      .set("svc_requests_failed", lane_failed));
   }
 
-  // ---- batch sweep: warm wall-clock vs scenario-batch width S -------------
-  // One lane, max_batch = S. The service starts paused so the shard fills
-  // before the worker wakes: the worker then coalesces deterministic
-  // batches of width S (run_batch: one element sweep + one exchange round
-  // per step for all S scenarios). Every result must stay bitwise identical
-  // to the unbatched cold baseline — that is the batching guarantee.
-  bool batch_ok = true;
-  for (const int S : batch_sizes) {
-    double batch_min = 1e300, batch_sum = 0.0;
-    std::vector<svc::ScenarioResult> batch_results;
-    long long batches = 0, batched_requests = 0, batch_failed = 0;
-    for (int t = 0; t < trials; ++t) {
-      solver::SolverOptions so = sopt;
-      so.t_end = t_end;
-      svc::ServiceOptions o;
-      o.queue_bound = static_cast<std::size_t>(N) + 4;
-      o.max_batch = S;
-      o.start_paused = true;
-      svc::SimulationService service(mesh, part, oopt, so, o);
-      std::vector<svc::SimulationService::Ticket> tickets;
-      tickets.reserve(static_cast<std::size_t>(N));
-      for (int i = 0; i < N; ++i) {
-        const Scenario& sc = scenarios[static_cast<std::size_t>(i)];
-        svc::ScenarioRequest req;
-        req.point_sources = {sc.src};
-        req.receivers = sc.receivers;
-        req.t_end = t_end;
-        tickets.push_back(service.submit(std::move(req)));
-      }
-      util::Timer timer;
-      service.resume();
-      std::vector<svc::ScenarioResult> results;
-      results.reserve(tickets.size());
-      for (auto& tk : tickets) results.push_back(tk.result.get());
-      const double wall = timer.seconds();
-      batch_min = std::min(batch_min, wall);
-      batch_sum += wall;
-      obs::Registry m = service.metrics();
-      batches = m.counters["svc/batches"];
-      batched_requests = m.counters["svc/batched_requests"];
-      batch_failed = m.counters["svc/requests_failed"];
-      batch_results = std::move(results);
-    }
-    int batch_completed = 0;
-    for (const auto& r : batch_results) {
-      if (r.status == svc::RequestStatus::kCompleted) ++batch_completed;
-    }
-    bool batch_bitwise = batch_completed == N;
-    for (int i = 0; i < N && batch_bitwise; ++i) {
-      batch_bitwise = histories_bitwise_equal(
-          batch_results[static_cast<std::size_t>(i)].solve.receiver_histories,
-          cold_results[static_cast<std::size_t>(i)].receiver_histories);
-    }
-    if (!batch_bitwise || batch_failed != 0) batch_ok = false;
-    const double rps = batch_min > 0.0 ? N / batch_min : 0.0;
-    std::printf("  batch S=%d: %.3f s min (%.2f req/s, %lld batched solves); "
-                "bit-identical to unbatched: %s\n",
-                S, batch_min, rps, static_cast<long long>(batches),
-                batch_bitwise ? "yes" : "NO (bug!)");
-
-    obs::Json& batch_row = sink.new_row();
-    batch_row.set("params", obs::Json::object()
-                                .set("mode", "batch")
-                                .set("batch_size", S)
-                                .set("lanes", 1)
-                                .set("ranks", R)
-                                .set("n_requests", N)
-                                .set("t_end", t_end)
-                                .set("trials", trials));
-    batch_row.set(
-        "metrics",
-        obs::Json::object()
-            .set("wall_seconds_min", batch_min)
-            .set("wall_seconds_mean", batch_sum / trials)
-            .set("requests_per_second", rps)
-            .set("requests_completed", batch_completed)
-            .set("batches", batches)
-            .set("batched_requests", batched_requests)
-            .set("cold_wall_seconds", cold_min)
-            .set("warm_over_cold", cold_min > 0.0 ? batch_min / cold_min : 0.0)
-            .set("batch_matches_unbatched_bitwise", batch_bitwise ? 1 : 0)
-            .set("svc_requests_failed", batch_failed));
-  }
-
   // ---- kill trial: one request dies mid-solve, the rest must not notice --
   // Request 1 carries a FaultPlan that kills rank R-1 mid-step with no
   // recovery budget; it must fail alone. The SAME service then serves a
@@ -497,7 +406,7 @@ int main(int argc, char** argv) {
     o.queue_bound = static_cast<std::size_t>(2 * n_kill_batch);
     svc::SimulationService service(mesh, part, oopt, so, o);
 
-    const auto run_batch = [&](bool with_kill) {
+    const auto serve_requests = [&](bool with_kill) {
       std::vector<svc::SimulationService::Ticket> tickets;
       for (int i = 0; i < n_kill_batch; ++i) {
         const Scenario& sc = scenarios[static_cast<std::size_t>(i)];
@@ -513,8 +422,8 @@ int main(int argc, char** argv) {
       return results;
     };
 
-    const auto killed = run_batch(/*with_kill=*/true);
-    const auto clean = run_batch(/*with_kill=*/false);
+    const auto killed = serve_requests(/*with_kill=*/true);
+    const auto clean = serve_requests(/*with_kill=*/false);
     for (int i = 0; i < n_kill_batch; ++i) {
       const auto& k = killed[static_cast<std::size_t>(i)];
       const auto& c = clean[static_cast<std::size_t>(i)];
@@ -560,7 +469,7 @@ int main(int argc, char** argv) {
 
   // Exit nonzero on a correctness violation (wall-clock ratios are noisy on
   // a loaded host, so the <= 0.5 target is reported, not enforced here).
-  return (bitwise && lanes_ok && batch_ok && kill_ok && service_survived &&
+  return (bitwise && lanes_ok && kill_ok && service_survived &&
           warm_failed == 0)
              ? 0
              : 1;

@@ -1,8 +1,6 @@
 #include "quake/fem/hex_element.hpp"
 
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 namespace quake::fem {
 namespace {
@@ -82,12 +80,6 @@ HexReference compute_reference() {
   return ref;
 }
 
-void throw_bad_lane_count(int n_lanes) {
-  throw std::invalid_argument(
-      "hex_apply_batch: n_lanes must be in [1, " +
-      std::to_string(kMaxBatchLanes) + "], got " + std::to_string(n_lanes));
-}
-
 }  // namespace
 
 const HexReference& HexReference::get() {
@@ -155,74 +147,6 @@ void hex_apply_elems(const HexReference& ref, const double* u_e, int n_elems,
     hex_apply(ref, u_e + off, scale_lambda[e], scale_mu[e], y_e + off,
               beta_e != nullptr ? beta_e[e] : 0.0,
               y_damp != nullptr ? y_damp + off : nullptr);
-  }
-}
-
-void hex_apply_batch(const HexReference& ref, const double* u_e, int n_lanes,
-                     double scale_lambda, double scale_mu, double* y_e,
-                     double beta_e, double* y_damp) {
-  // Lane s must see the exact operation sequence of hex_apply_ref on its
-  // own data: the column loop stays outermost and the lane loop runs
-  // innermost, so each lane's accumulators take the same adds in the same
-  // order while the inner loop is unit-stride across lanes. The lane loop
-  // keeps its runtime bound on purpose: fixed-width clones get fully
-  // unrolled, need 2*n_lanes live accumulators, and spill — the runtime
-  // vector loop measures at a multiple of their throughput (bench_micro
-  // BM_HexApplyBatch* rows). A real bounds check (not an assert): the
-  // per-row accumulators are stack arrays of kMaxBatchLanes, and release
-  // callers must not be able to overflow them.
-  if (n_lanes < 1 || n_lanes > kMaxBatchLanes) throw_bad_lane_count(n_lanes);
-  double sl[kMaxBatchLanes], sm[kMaxBatchLanes];
-  for (int r = 0; r < kHexDofs; ++r) {
-    const double* kl = &ref.k_lambda[static_cast<std::size_t>(r) * kHexDofs];
-    const double* km = &ref.k_mu[static_cast<std::size_t>(r) * kHexDofs];
-    for (int s = 0; s < n_lanes; ++s) sl[s] = sm[s] = 0.0;
-    for (int c = 0; c < kHexDofs; ++c) {
-      const double* uc = u_e + static_cast<std::size_t>(c) * n_lanes;
-      const double klc = kl[c];
-      const double kmc = km[c];
-      for (int s = 0; s < n_lanes; ++s) {
-        sl[s] += klc * uc[s];
-        sm[s] += kmc * uc[s];
-      }
-    }
-    double* yr = y_e + static_cast<std::size_t>(r) * n_lanes;
-    double* dr =
-        y_damp != nullptr ? y_damp + static_cast<std::size_t>(r) * n_lanes
-                          : nullptr;
-    for (int s = 0; s < n_lanes; ++s) {
-      const double v = scale_lambda * sl[s] + scale_mu * sm[s];
-      yr[s] += v;
-      if (dr != nullptr) dr[s] += beta_e * v;
-    }
-  }
-}
-
-void hex_apply_batch_ref(const HexReference& ref, const double* u_e,
-                         int n_lanes, double scale_lambda, double scale_mu,
-                         double* y_e, double beta_e, double* y_damp) {
-  // Ground truth by definition: deinterleave each lane, run the solo
-  // reference kernel on it, reinterleave. This is what a caller without a
-  // batched kernel would do, so the bench_micro batch A/B measures exactly
-  // what the scenario-major interleaved layout buys.
-  if (n_lanes < 1 || n_lanes > kMaxBatchLanes) throw_bad_lane_count(n_lanes);
-  double us[kHexDofs], ys[kHexDofs], ds[kHexDofs];
-  for (int s = 0; s < n_lanes; ++s) {
-    for (int d = 0; d < kHexDofs; ++d) {
-      const std::size_t idx = static_cast<std::size_t>(d) * n_lanes +
-                              static_cast<std::size_t>(s);
-      us[d] = u_e[idx];
-      ys[d] = y_e[idx];
-      if (y_damp != nullptr) ds[d] = y_damp[idx];
-    }
-    hex_apply_ref(ref, us, scale_lambda, scale_mu, ys, beta_e,
-                  y_damp != nullptr ? ds : nullptr);
-    for (int d = 0; d < kHexDofs; ++d) {
-      const std::size_t idx = static_cast<std::size_t>(d) * n_lanes +
-                              static_cast<std::size_t>(s);
-      y_e[idx] = ys[d];
-      if (y_damp != nullptr) y_damp[idx] = ds[d];
-    }
   }
 }
 

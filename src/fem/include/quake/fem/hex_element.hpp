@@ -20,10 +20,6 @@ namespace quake::fem {
 inline constexpr int kHexNodes = 8;
 inline constexpr int kHexDofs = 24;
 
-// Upper bound on the scenario-batch width the batched kernels accept (their
-// per-row accumulators live on the stack). Callers clamp batch sizes to it.
-inline constexpr int kMaxBatchLanes = 16;
-
 using HexMatrix = std::array<double, kHexDofs * kHexDofs>;       // row-major
 using ScalarHexMatrix = std::array<double, kHexNodes * kHexNodes>;
 
@@ -67,44 +63,16 @@ void hex_apply_ref(const HexReference& ref, const double* u_e,
                    double scale_lambda, double scale_mu, double* y_e,
                    double beta_e, double* y_damp);
 
-// Element-batch entry point: `n_elems` elements packed back to back
+// Element-block entry point: `n_elems` elements packed back to back
 // (element e's 24-vector at u_e + e*24, likewise y_e / y_damp) with
 // per-element scale factors. Each element undergoes exactly the hex_apply
-// operation sequence — the batch exists so gather/scatter call sites can
-// hand the kernel a contiguous run of elements (composing with the
-// scenario-major lane layout, which batches *within* an element) and so the
-// per-call dispatch cost is amortized over the block. `y_damp` may be
-// nullptr when no caller lane wants the damping accumulator.
+// operation sequence — the block exists so gather/scatter call sites can
+// hand the kernel a contiguous run of elements and so the per-call dispatch
+// cost is amortized over the block. `y_damp` may be nullptr when the caller
+// wants no damping accumulator.
 void hex_apply_elems(const HexReference& ref, const double* u_e, int n_elems,
                      const double* scale_lambda, const double* scale_mu,
                      double* y_e, const double* beta_e, double* y_damp);
-
-// Batched (scenario-major) variant: u_e / y_e (/ y_damp) carry `n_lanes`
-// independent right-hand sides interleaved per dof — lane s of dof d lives
-// at index d * n_lanes + s. Lane s undergoes exactly the floating-point
-// operation sequence hex_apply would perform on it alone (the lane loop is
-// innermost), so batched results are bitwise identical per lane; the layout
-// makes the inner loop unit-stride across lanes, which is what lets the
-// kernel vectorize across scenarios. The lane bound stays a runtime value
-// on purpose: fixed-trip-count clones fully unroll the lane loop, need
-// 2 * n_lanes live accumulators, and spill — measurably slower than the
-// runtime loop (see the bench_micro batch A/B).
-//
-// Throws std::invalid_argument unless 1 <= n_lanes <= kMaxBatchLanes: the
-// per-row accumulators live on the stack, and an unchecked oversized width
-// would silently overflow them in release builds.
-void hex_apply_batch(const HexReference& ref, const double* u_e, int n_lanes,
-                     double scale_lambda, double scale_mu, double* y_e,
-                     double beta_e, double* y_damp);
-
-// Reference implementation of hex_apply_batch: deinterleaves each lane,
-// applies the straight-line solo reference (hex_apply_ref), reinterleaves.
-// Ground truth by definition — lane s literally undergoes the solo
-// operation sequence — and the per-lane baseline the bench_micro batch A/B
-// measures the interleaved layout against. Same bounds check.
-void hex_apply_batch_ref(const HexReference& ref, const double* u_e,
-                         int n_lanes, double scale_lambda, double scale_mu,
-                         double* y_e, double beta_e, double* y_damp);
 
 // Diagonal of K_e = h (lambda K_lambda + mu K_mu), 24 entries.
 void hex_diagonal(const HexReference& ref, double scale_lambda,

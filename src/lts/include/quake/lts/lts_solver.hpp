@@ -27,8 +27,8 @@
 // degenerates to the global scheme and the run is bitwise identical to
 // ExplicitSolver — the anchor tested in lts_test. Multi-rate runs agree
 // with global-dt up to the scheme's accuracy tier (summation order and
-// coarse-node step size necessarily differ); Rayleigh damping, batching,
-// and checkpointing are out of scope and rejected at construction.
+// coarse-node step size necessarily differ); Rayleigh damping and
+// checkpointing are out of scope and rejected at construction.
 
 #include <array>
 #include <cstdint>

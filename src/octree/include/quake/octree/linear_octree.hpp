@@ -24,9 +24,13 @@ class LinearOctree {
   // Pre: leaves are pairwise disjoint (checked in debug via validate()).
   explicit LinearOctree(std::vector<Octant> leaves);
 
-  [[nodiscard]] std::span<const Octant> leaves() const noexcept {
+  [[nodiscard]] std::span<const Octant> leaves() const& noexcept {
     return leaves_;
   }
+  // The span views this tree's storage; taking it from a temporary would
+  // dangle as soon as the full expression ends (e.g. a range-for over
+  // build_octree(...).leaves()). Bind the tree to a named object first.
+  std::span<const Octant> leaves() const&& = delete;
   [[nodiscard]] std::size_t size() const noexcept { return leaves_.size(); }
   [[nodiscard]] const Octant& operator[](std::size_t i) const noexcept {
     return leaves_[i];

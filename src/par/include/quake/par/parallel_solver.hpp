@@ -152,17 +152,12 @@ struct FaultToleranceOptions {
   // its state to buddy rank (r+1)%R, which holds it in (thread-local)
   // memory; on revival the buddy donates it back over the communicator so
   // the revived rank restores the newest checkpoint without touching disk.
-  // Only meaningful with in-place recovery armed (max_revives > 0).
+  // Only meaningful with in-place recovery armed (max_revives > 0). The
+  // stream is posted fire-and-forget at the checkpoint barrier and absorbed
+  // non-blockingly (the barrier bracketing the capture guarantees it is
+  // already in the mailbox), so donation adds no synchronous wait to the
+  // step loop — the `recover/donate/wait` scope records the absorb time.
   bool state_donation = true;
-
-  // Donation exchange mode. true (default): the snapshot stream is posted
-  // fire-and-forget at the checkpoint barrier and absorbed non-blockingly
-  // (the barrier bracketing the capture guarantees it is already in the
-  // mailbox), so donation adds no synchronous wait to the step loop — the
-  // `recover/donate/wait` scope records the (near-zero) absorb time.
-  // false: the pre-PR-9 blocking ring exchange, kept for A/B measurement
-  // (bench_table2_1's donation_sync/donation_async rows).
-  bool async_donation = true;
 
   // Outbound message log retained per neighbor for tier-1 replay, in steps:
   // -1 = auto (2 * checkpoint_every + 8: two checkpoint intervals plus
@@ -188,14 +183,6 @@ struct RunControl {
   [[nodiscard]] bool active() const {
     return cancel != nullptr || deadline_seconds > 0.0;
   }
-};
-
-// One scenario of a batched solve (see ParallelSetup::run_batch and
-// docs/BATCHING.md): its sources and receiver positions. Sources are
-// non-owning and must outlive the solve.
-struct BatchScenario {
-  std::vector<const solver::SourceModel*> sources;
-  std::vector<std::array<double, 3>> receivers;
 };
 
 // The reusable setup phase of the parallel solver — everything run_parallel
@@ -243,23 +230,6 @@ class ParallelSetup {
                      std::span<const std::array<double, 3>> receiver_positions,
                      const FaultToleranceOptions& ft = {},
                      const RunControl& control = {});
-
-  // S scenarios on the shared setup, advanced in lockstep: one element
-  // sweep, one constraint fold, and one ghost-exchange round per step
-  // service every scenario, with state scenario-major (lane s of dof d at
-  // index d * S + s) and each per-neighbor message carrying all S partial
-  // sums. Scenario s's result is bitwise identical to run() with that
-  // scenario's sources and receivers — the lane loop is innermost
-  // everywhere, so per-lane floating-point order never changes (see
-  // docs/BATCHING.md). At most fem::kMaxBatchLanes scenarios per call.
-  //
-  // Fault tolerance is deliberately unsupported (checkpoint state would be
-  // S-entangled); the serving layer only batches requests that carry no FT
-  // options. RunControl cancellation/deadline applies to the whole batch:
-  // either every scenario runs to completion or all stop at the same step.
-  std::vector<ParallelResult> run_batch(
-      double t_end, std::span<const BatchScenario> scenarios,
-      const RunControl& control = {});
 
   // One forward solve under clustered local time stepping (see docs/LTS.md
   // and quake::lts). Elements are binned into power-of-two CFL rate

@@ -83,11 +83,6 @@ struct RankLocal {
   std::vector<int> nb_of_rank;              // rank -> neighbor index or -1
   std::size_t doubles_per_step = 0;         // exchange volume, setup-derived
 
-  // Batched-exchange siblings of sendbuf/recvbuf, sized pack * 3 *
-  // shared * S on each run_batch call (S varies per batch; resizing
-  // happens under run_mutex before the SPMD launch).
-  std::vector<std::vector<double>> sendbuf_b, recvbuf_b;
-
   // Per-neighbor arrival flags for the arrival-order drain, reset each
   // step; lives here (not on the step-loop stack) so the steady-state step
   // performs no allocation.
@@ -110,31 +105,6 @@ class RankForceSink final : public solver::ForceSink {
  private:
   const std::unordered_map<mesh::NodeId, int>* local_of_;
   std::vector<double>* f_;
-};
-
-// As RankForceSink, writing one lane of a scenario-major batched force
-// vector (lane s of local dof d at index d * n_lanes + s).
-class RankLaneForceSink final : public solver::ForceSink {
- public:
-  RankLaneForceSink(const std::unordered_map<mesh::NodeId, int>& local_of,
-                    std::vector<double>& f, int n_lanes, int lane)
-      : local_of_(&local_of),
-        f_(&f),
-        lanes_(static_cast<std::size_t>(n_lanes)),
-        lane_(static_cast<std::size_t>(lane)) {}
-  void add(mesh::NodeId node, int comp, double value) override {
-    auto it = local_of_->find(node);
-    if (it == local_of_->end()) return;
-    (*f_)[(3 * static_cast<std::size_t>(it->second) +
-           static_cast<std::size_t>(comp)) *
-              lanes_ +
-          lane_] += value;
-  }
-
- private:
-  const std::unordered_map<mesh::NodeId, int>* local_of_;
-  std::vector<double>* f_;
-  std::size_t lanes_, lane_;
 };
 
 std::string ckpt_path(const std::string& dir, int rank) {
@@ -403,10 +373,6 @@ struct ParallelSetup::Impl {
                      const FaultToleranceOptions& ft,
                      const RunControl& control);
 
-  std::vector<ParallelResult> run_batch(double t_end,
-                                        std::span<const BatchScenario> scenarios,
-                                        const RunControl& control);
-
   ParallelResult run_lts(double t_end,
                          std::span<const solver::SourceModel* const> sources,
                          std::span<const std::array<double, 3>> receiver_positions,
@@ -482,7 +448,6 @@ ParallelResult ParallelSetup::Impl::run(
   // the per-neighbor outbound message log. Both only pay their cost when
   // in-place recovery is armed.
   const bool donate_on = in_place && ft.state_donation && R > 1;
-  const bool donate_async = donate_on && ft.async_donation;
   // Auto capacity spans TWO checkpoint intervals: delta compression (see
   // util::DeltaRing) keeps the longer ring near the memory cost of one
   // uncompressed interval, and the extra reach keeps tier-1 feasible even
@@ -1310,7 +1275,7 @@ ParallelResult ParallelSetup::Impl::run(
               // Idle pass: absorb any in-flight buddy donation instead of
               // pure spinning, so the async stream never backs up behind
               // a slow neighbor.
-              if (donate_async) absorb_donations();
+              if (donate_on) absorb_donations();
               std::this_thread::yield();
             } else {
               rank.recv_into(L.neighbors[first_pending].rank, /*tag=*/0,
@@ -1481,33 +1446,17 @@ ParallelResult ParallelSetup::Impl::run(
             }
           }
           rank.send(buddy, kDonationTag, pay);
-          if (donate_async) {
-            // Asynchronous absorb: the closing barrier below proves pred's
-            // send already landed in this rank's mailbox, so the post-
-            // barrier drain is non-blocking and the measured wait is ~0.
-            // (Absorbing may also have happened opportunistically in the
-            // drain's idle passes.)
-            rank.barrier();
-            util::StopWatch w;
-            w.start();
-            absorb_donations();
-            w.stop();
-            obs::scope_record("recover/donate/wait", w.total_seconds());
-          } else {
-            // Synchronous baseline (A/B reference): block on the stream
-            // before releasing the barrier, charging the full ring-shift
-            // latency to the checkpoint.
-            util::StopWatch w;
-            w.start();
-            std::vector<double> got = rank.recv(pred, kDonationTag);
-            w.stop();
-            obs::scope_record("recover/donate/wait", w.total_seconds());
-            if (!got.empty()) {
-              held.step = static_cast<std::int64_t>(got[0]);
-              held.state = std::move(got);
-            }
-            rank.barrier();
-          }
+          // Asynchronous absorb: the closing barrier below proves pred's
+          // send already landed in this rank's mailbox, so the post-barrier
+          // drain is non-blocking and the measured wait is ~0. (Absorbing
+          // may also have happened opportunistically in the drain's idle
+          // passes.)
+          rank.barrier();
+          util::StopWatch w;
+          w.start();
+          absorb_donations();
+          w.stop();
+          obs::scope_record("recover/donate/wait", w.total_seconds());
         } else {
           rank.barrier();
         }
@@ -1700,539 +1649,6 @@ ParallelResult ParallelSetup::Impl::run(
   }
 
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// run_batch: S scenarios through one SPMD step loop. The structure is run()
-// with every per-dof array widened to S lanes (scenario-major) and all
-// fault-tolerance machinery removed — batched requests carry no FT by the
-// serving layer's coalescing contract (see docs/BATCHING.md). Lane s of
-// every array takes exactly the floating-point operation sequence run()
-// would apply to scenario s alone (lane loops are innermost everywhere, and
-// the drain keeps its ascending-rank order), which is what makes batch
-// results bitwise identical to sequential ones.
-// ---------------------------------------------------------------------------
-
-std::vector<ParallelResult> ParallelSetup::Impl::run_batch(
-    double t_end, std::span<const BatchScenario> scenarios,
-    const RunControl& control) {
-  const std::lock_guard<std::mutex> run_lock(run_mutex);
-  const int S_i = static_cast<int>(scenarios.size());
-  if (S_i < 1 || S_i > fem::kMaxBatchLanes) {
-    throw std::invalid_argument("run_batch: scenario count must be in [1, " +
-                                std::to_string(fem::kMaxBatchLanes) + "]");
-  }
-  const std::size_t S = scenarios.size();
-  const int n_steps = static_cast<int>(std::ceil(t_end / dt));
-
-  std::vector<ParallelResult> results(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    results[s].dt = dt;
-    results[s].n_steps = n_steps;
-    results[s].steps_completed = n_steps;
-    results[s].u_final.assign(3 * mesh.n_nodes(), 0.0);
-    results[s].rank_stats.assign(static_cast<std::size_t>(R), {});
-    results[s].receiver_histories.assign(scenarios[s].receivers.size(), {});
-  }
-
-  // Per-rank receiver assignment, now (lane, receiver, local node) triples.
-  struct RecvRef {
-    int lane;
-    int ri;
-    int ln;
-  };
-  std::vector<std::vector<RecvRef>> recv_of(static_cast<std::size_t>(R));
-  for (std::size_t s = 0; s < S; ++s) {
-    for (std::size_t ri = 0; ri < scenarios[s].receivers.size(); ++ri) {
-      const mesh::NodeId n =
-          solver::nearest_node(mesh, scenarios[s].receivers[ri]);
-      const int owner = part.node_owner[static_cast<std::size_t>(n)];
-      const auto it = locals[static_cast<std::size_t>(owner)].local_of.find(n);
-      if (it == locals[static_cast<std::size_t>(owner)].local_of.end()) {
-        throw std::invalid_argument(
-            "run_batch: scenario " + std::to_string(s) + " receiver " +
-            std::to_string(ri) + " snaps to node " + std::to_string(n) +
-            ", which no element touches (orphan node)");
-      }
-      recv_of[static_cast<std::size_t>(owner)].push_back(
-          {static_cast<int>(s), static_cast<int>(ri), it->second});
-      results[s].receiver_histories[ri].reserve(
-          static_cast<std::size_t>(n_steps));
-    }
-  }
-
-  // Batched exchange buffers: the scalar buffers' layout with every entry
-  // widened to S lanes — ku section at [(3*i + c) * S + s], dku (when
-  // Rayleigh damping is on) at offset 3 * shared * S.
-  const std::size_t pack = rayleigh ? 2u : 1u;
-  for (auto& L : locals) {
-    L.sendbuf_b.resize(L.neighbors.size());
-    L.recvbuf_b.resize(L.neighbors.size());
-    for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-      const std::size_t n_sh = L.neighbors[nb].shared.size();
-      L.sendbuf_b[nb].assign(pack * 3 * n_sh * S, 0.0);
-      L.recvbuf_b[nb].assign(pack * 3 * n_sh * S, 0.0);
-    }
-  }
-
-  // Plain-communicator policy: no injected faults, no deadline on blocking
-  // ops, no in-place recovery. A rank failure surfaces to the caller.
-  comm.clear_fault_plan();
-  comm.set_timeout(0.0);
-  comm.set_recovery({false, 0});
-
-  const bool ctl_active = control.active();
-  const int ctl_every = std::max(1, control.check_every);
-  const auto run_start = std::chrono::steady_clock::now();
-
-  const fem::HexReference& ref = fem::HexReference::get();
-  const auto elem_damping = op.element_damping();
-  std::vector<obs::Registry> rank_regs(static_cast<std::size_t>(R));
-  int agreed_stop = n_steps;  // written by rank 0, read after join
-
-  const auto spmd_body = [&](Rank& rank) {
-    const std::size_t r = static_cast<std::size_t>(rank.id());
-    const obs::ScopedRegistry obs_install(rank_regs[r]);
-    RankLocal& L = locals[r];
-    const auto& RV = recv_of[r];
-    const std::size_t nd = 3 * L.nodes.size();
-    const std::size_t nb_len = nd * S;
-    std::vector<double> u(nb_len, 0.0), u_prev(nb_len, 0.0),
-        u_next(nb_len, 0.0);
-    std::vector<double> f(nb_len, 0.0), ku(nb_len, 0.0), dku(nb_len, 0.0),
-        dku_prev(nb_len, 0.0);
-
-    util::StopWatch compute_watch, exchange_watch, overlap_watch, drain_watch;
-    std::uint64_t flops = 0;
-    std::uint64_t elem_updates = 0;
-    obs::counter_add("comm/msgs_sent", 0);
-    obs::counter_add("comm/bytes_sent", 0);
-    obs::gauge_set("par/dt", dt);
-    obs::gauge_set("par/batch_width", static_cast<double>(S));
-
-    auto expand_b = [&](std::vector<double>& x) {
-      for (const LocalConstraint& c : L.cons) {
-        for (int comp = 0; comp < 3; ++comp) {
-          const std::size_t hd =
-              (3 * static_cast<std::size_t>(c.node) +
-               static_cast<std::size_t>(comp)) *
-              S;
-          for (std::size_t s = 0; s < S; ++s) {
-            double v = 0.0;
-            for (int m = 0; m < c.n; ++m) {
-              v += c.weights[static_cast<std::size_t>(m)] *
-                   x[(3 * static_cast<std::size_t>(
-                            c.masters[static_cast<std::size_t>(m)]) +
-                      static_cast<std::size_t>(comp)) *
-                         S +
-                     s];
-            }
-            x[hd + s] = v;
-          }
-        }
-      }
-    };
-    auto accumulate_b = [&](std::vector<double>& x,
-                            const std::vector<LocalConstraint>& cons) {
-      for (const LocalConstraint& c : cons) {
-        for (int comp = 0; comp < 3; ++comp) {
-          const std::size_t hd =
-              (3 * static_cast<std::size_t>(c.node) +
-               static_cast<std::size_t>(comp)) *
-              S;
-          for (int m = 0; m < c.n; ++m) {
-            const std::size_t md =
-                (3 * static_cast<std::size_t>(
-                         c.masters[static_cast<std::size_t>(m)]) +
-                 static_cast<std::size_t>(comp)) *
-                S;
-            const double w = c.weights[static_cast<std::size_t>(m)];
-            for (std::size_t s = 0; s < S; ++s) x[md + s] += w * x[hd + s];
-          }
-          for (std::size_t s = 0; s < S; ++s) x[hd + s] = 0.0;
-        }
-      }
-    };
-
-    double ue[fem::kHexDofs * fem::kMaxBatchLanes];
-    double ye[fem::kHexDofs * fem::kMaxBatchLanes];
-    double de[fem::kHexDofs * fem::kMaxBatchLanes];
-    auto apply_elems_b = [&](const std::vector<int>& list) {
-      for (const int le_i : list) {
-        const std::size_t le = static_cast<std::size_t>(le_i);
-        const std::size_t ge = static_cast<std::size_t>(L.elems[le]);
-        const auto& c = L.conn[le];
-        for (int i = 0; i < 8; ++i) {
-          // Per node the 3 components x S lanes are one contiguous run.
-          const std::size_t base =
-              3 * static_cast<std::size_t>(c[static_cast<std::size_t>(i)]) * S;
-          std::copy(u.begin() + static_cast<std::ptrdiff_t>(base),
-                    u.begin() + static_cast<std::ptrdiff_t>(base + 3 * S),
-                    ue + 3 * static_cast<std::size_t>(i) * S);
-        }
-        std::fill(ye, ye + fem::kHexDofs * S, 0.0);
-        if (rayleigh) std::fill(de, de + fem::kHexDofs * S, 0.0);
-        const double h = mesh.elem_size[ge];
-        const vel::Material& mat = mesh.elem_mat[ge];
-        fem::hex_apply_batch(ref, ue, S_i, h * mat.lambda, h * mat.mu, ye,
-                             rayleigh ? elem_damping[ge].beta : 0.0,
-                             rayleigh ? de : nullptr);
-        for (int i = 0; i < 8; ++i) {
-          const std::size_t base =
-              3 * static_cast<std::size_t>(c[static_cast<std::size_t>(i)]) * S;
-          const std::size_t eb = 3 * static_cast<std::size_t>(i) * S;
-          for (std::size_t t = 0; t < 3 * S; ++t) ku[base + t] += ye[eb + t];
-          if (rayleigh) {
-            for (std::size_t t = 0; t < 3 * S; ++t) {
-              dku[base + t] += de[eb + t];
-            }
-          }
-        }
-        flops += S * fem::hex_apply_flops(rayleigh);
-      }
-      // One element update per lane per element: S lanes advance together.
-      elem_updates += S * list.size();
-      obs::counter_add("par/elements_processed",
-                       static_cast<std::int64_t>(list.size()));
-      obs::counter_add("par/element_updates",
-                       static_cast<std::int64_t>(S * list.size()));
-    };
-    auto apply_faces_b = [&](const std::vector<RankLocal::Face>& list) {
-      if (op_opt.abc != fem::AbcType::kStacey) return;
-      double uf[12], yf[12];
-      for (const auto& face : list) {
-        if (!op_opt.absorbing_sides[static_cast<std::size_t>(face.side)]) {
-          continue;
-        }
-        const std::size_t ge = static_cast<std::size_t>(
-            L.elems[static_cast<std::size_t>(face.elem)]);
-        const auto& fn = mesh::kFaceNodes[static_cast<std::size_t>(face.side)];
-        const auto& c = L.conn[static_cast<std::size_t>(face.elem)];
-        // The face kernel is tiny (4 nodes); run it per lane with strided
-        // gathers instead of widening it. Per-lane op order is the scalar
-        // kernel's, trivially.
-        for (std::size_t s = 0; s < S; ++s) {
-          for (int i = 0; i < 4; ++i) {
-            const std::size_t base =
-                3 *
-                static_cast<std::size_t>(
-                    c[static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]) *
-                S;
-            uf[3 * i] = u[base + s];
-            uf[3 * i + 1] = u[base + S + s];
-            uf[3 * i + 2] = u[base + 2 * S + s];
-          }
-          std::fill(yf, yf + 12, 0.0);
-          fem::face_stacey_apply(mesh.elem_mat[ge], mesh.elem_size[ge],
-                                 face.side, uf, yf);
-          for (int i = 0; i < 4; ++i) {
-            const std::size_t base =
-                3 *
-                static_cast<std::size_t>(
-                    c[static_cast<std::size_t>(fn[static_cast<std::size_t>(i)])]) *
-                S;
-            ku[base + s] += yf[3 * i];
-            ku[base + S + s] += yf[3 * i + 1];
-            ku[base + 2 * S + s] += yf[3 * i + 2];
-          }
-          flops += fem::face_stacey_flops();
-        }
-      }
-    };
-
-    int stop_k = n_steps;
-    for (int k = 0; k < n_steps; ++k) {
-      QUAKE_OBS_SCOPE("step");
-
-      // Whole-batch cancellation/deadline agreement, as in run().
-      if (ctl_active && k % ctl_every == 0) {
-        double want_stop = 0.0;
-        if (control.cancel != nullptr &&
-            control.cancel->load(std::memory_order_relaxed)) {
-          want_stop = 1.0;
-        }
-        if (control.deadline_seconds > 0.0 &&
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          run_start)
-                    .count() >= control.deadline_seconds) {
-          want_stop = 1.0;
-        }
-        if (rank.allreduce_max(want_stop) > 0.0) {
-          obs::counter_add("par/steps_cancelled", n_steps - k);
-          stop_k = k;
-          break;
-        }
-      }
-
-      const double t_k = k * dt;
-
-      {
-      QUAKE_OBS_SCOPE("compute");  // boundary elements + boundary ABC faces
-      compute_watch.start();
-      std::fill(ku.begin(), ku.end(), 0.0);
-      if (rayleigh) std::fill(dku.begin(), dku.end(), 0.0);
-      apply_elems_b(L.boundary_elems);
-      apply_faces_b(L.boundary_faces);
-      accumulate_b(ku, L.cons_boundary);
-      if (rayleigh) accumulate_b(dku, L.cons_boundary);
-      compute_watch.stop();
-      }
-
-      // ---- post: one coalesced message per neighbor carries all S lanes --
-      {
-      QUAKE_OBS_SCOPE("exchange");
-      exchange_watch.start();
-      {
-      QUAKE_OBS_SCOPE("post");
-      for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-        auto& buf = L.sendbuf_b[nb];
-        const auto& sh = L.neighbors[nb].shared;
-        for (std::size_t i = 0; i < sh.size(); ++i) {
-          const std::size_t base = 3 * static_cast<std::size_t>(sh[i]) * S;
-          std::copy(ku.begin() + static_cast<std::ptrdiff_t>(base),
-                    ku.begin() + static_cast<std::ptrdiff_t>(base + 3 * S),
-                    buf.begin() + static_cast<std::ptrdiff_t>(3 * i * S));
-          if (rayleigh) {
-            const std::size_t off = 3 * sh.size() * S;
-            std::copy(dku.begin() + static_cast<std::ptrdiff_t>(base),
-                      dku.begin() + static_cast<std::ptrdiff_t>(base + 3 * S),
-                      buf.begin() +
-                          static_cast<std::ptrdiff_t>(off + 3 * i * S));
-          }
-        }
-        rank.send(L.neighbors[nb].rank, /*tag=*/0, buf);
-      }
-      for (int li : L.all_shared) {
-        const std::size_t base = 3 * static_cast<std::size_t>(li) * S;
-        for (std::size_t t = 0; t < 3 * S; ++t) ku[base + t] = 0.0;
-        if (rayleigh) {
-          for (std::size_t t = 0; t < 3 * S; ++t) dku[base + t] = 0.0;
-        }
-      }
-      }
-      exchange_watch.stop();
-      }
-
-      // ---- overlap window: per-lane sources, interior work ----
-      {
-      QUAKE_OBS_SCOPE("compute");
-      compute_watch.start();
-      overlap_watch.start();
-      std::fill(f.begin(), f.end(), 0.0);
-      for (std::size_t s = 0; s < S; ++s) {
-        RankLaneForceSink sink(L.local_of, f, S_i, static_cast<int>(s));
-        for (const solver::SourceModel* src : scenarios[s].sources) {
-          src->add_forces(t_k, sink);
-        }
-      }
-      accumulate_b(f, L.cons);
-      apply_elems_b(L.interior_elems);
-      apply_faces_b(L.interior_faces);
-      accumulate_b(ku, L.cons_interior);
-      if (rayleigh) accumulate_b(dku, L.cons_interior);
-      overlap_watch.stop();
-      compute_watch.stop();
-      }
-
-      // ---- drain: park payloads in arrival order, then accumulate in
-      // ascending rank order, 3*S contiguous doubles per shared node, so
-      // each lane's shared sum takes the scalar path's order ----
-      {
-      QUAKE_OBS_SCOPE("exchange");
-      exchange_watch.start();
-      drain_watch.start();
-      {
-        QUAKE_OBS_SCOPE("drain");
-        {
-          // Wait phase: identical protocol to run()'s drain (poll all
-          // pending edges, park arrivals, yield and re-poll on a fruitless
-          // pass, block on the lowest pending neighbor only after
-          // kIdlePassLimit passes in a row made no progress).
-          QUAKE_OBS_SCOPE("wait");
-          constexpr int kIdlePassLimit = 64;
-          std::fill(L.nb_arrived.begin(), L.nb_arrived.end(), 0);
-          std::size_t n_pending = L.neighbors.size();
-          int idle_passes = 0;
-          while (n_pending > 0) {
-            std::size_t progressed = 0;
-            std::size_t first_pending = L.neighbors.size();
-            for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-              if (L.nb_arrived[nb] != 0) continue;
-              if (rank.try_recv_into(L.neighbors[nb].rank, /*tag=*/0,
-                                     L.recvbuf_b[nb])) {
-                L.nb_arrived[nb] = 1;
-                --n_pending;
-                ++progressed;
-              } else if (first_pending == L.neighbors.size()) {
-                first_pending = nb;
-              }
-            }
-            if (n_pending == 0 || progressed > 0) {
-              idle_passes = 0;
-            } else if (++idle_passes < kIdlePassLimit) {
-              std::this_thread::yield();
-            } else {
-              rank.recv_into(L.neighbors[first_pending].rank, /*tag=*/0,
-                             L.recvbuf_b[first_pending]);
-              L.nb_arrived[first_pending] = 1;
-              --n_pending;
-              idle_passes = 0;
-            }
-          }
-        }
-        for (int s = 0; s < R; ++s) {
-          if (s == rank.id()) {
-            for (std::size_t nb = 0; nb < L.neighbors.size(); ++nb) {
-              const auto& sh = L.neighbors[nb].shared;
-              const auto& buf = L.sendbuf_b[nb];
-              for (const int i_first : L.own_first[nb]) {
-                const std::size_t i = static_cast<std::size_t>(i_first);
-                const std::size_t base =
-                    3 * static_cast<std::size_t>(sh[i]) * S;
-                const std::size_t bb = 3 * i * S;
-                for (std::size_t t = 0; t < 3 * S; ++t) {
-                  ku[base + t] += buf[bb + t];
-                }
-                if (rayleigh) {
-                  const std::size_t off = 3 * sh.size() * S;
-                  for (std::size_t t = 0; t < 3 * S; ++t) {
-                    dku[base + t] += buf[off + bb + t];
-                  }
-                }
-              }
-            }
-            continue;
-          }
-          const int nbi = L.nb_of_rank[static_cast<std::size_t>(s)];
-          if (nbi < 0) continue;
-          const auto& msg = L.recvbuf_b[static_cast<std::size_t>(nbi)];
-          const auto& sh = L.neighbors[static_cast<std::size_t>(nbi)].shared;
-          for (std::size_t i = 0; i < sh.size(); ++i) {
-            const std::size_t base = 3 * static_cast<std::size_t>(sh[i]) * S;
-            const std::size_t bb = 3 * i * S;
-            for (std::size_t t = 0; t < 3 * S; ++t) {
-              ku[base + t] += msg[bb + t];
-            }
-            if (rayleigh) {
-              const std::size_t off = 3 * sh.size() * S;
-              for (std::size_t t = 0; t < 3 * S; ++t) {
-                dku[base + t] += msg[off + bb + t];
-              }
-            }
-          }
-        }
-      }
-      drain_watch.stop();
-      exchange_watch.stop();
-      }
-
-      {
-      QUAKE_OBS_SCOPE("compute");  // eq. 2.4, lane loop innermost
-      compute_watch.start();
-      const double dt2 = dt * dt;
-      const double hdt = 0.5 * dt;
-      for (std::size_t d = 0; d < nd; ++d) {
-        const std::size_t b = d * S;
-        for (std::size_t s = 0; s < S; ++s) {
-          double rhs = 2.0 * L.mass[d] * u[b + s] - dt2 * ku[b + s] +
-                       dt2 * f[b + s] +
-                       (hdt * L.am[d] - L.mass[d]) * u_prev[b + s] +
-                       hdt * L.cab[d] * u_prev[b + s];
-          if (rayleigh) {
-            rhs -= hdt * (dku[b + s] - L.bk[d] * u[b + s]);
-            rhs += hdt * dku_prev[b + s];
-          }
-          u_next[b + s] = rhs * L.inv_lhs[d];
-        }
-      }
-      expand_b(u_next);
-      // Same per-dof update count as run(), times the S lanes.
-      flops += S * nd * (rayleigh ? 20ull : 14ull);
-
-      std::swap(dku_prev, dku);
-      std::swap(u_prev, u);
-      std::swap(u, u_next);
-
-      for (const RecvRef& rv : RV) {
-        const std::size_t base = 3 * static_cast<std::size_t>(rv.ln) * S;
-        const std::size_t s = static_cast<std::size_t>(rv.lane);
-        results[s].receiver_histories[static_cast<std::size_t>(rv.ri)]
-            .push_back({u[base + s], u[base + S + s], u[base + 2 * S + s]});
-      }
-      compute_watch.stop();
-      }
-    }
-
-    // ---- finish: scatter each lane's owned nodes into its result ----
-    for (std::size_t i = 0; i < L.nodes.size(); ++i) {
-      if (L.owned[i] == 0) continue;
-      const std::size_t g = 3 * static_cast<std::size_t>(L.nodes[i]);
-      const std::size_t base = 3 * i * S;
-      for (std::size_t s = 0; s < S; ++s) {
-        results[s].u_final[g] = u[base + s];
-        results[s].u_final[g + 1] = u[base + S + s];
-        results[s].u_final[g + 2] = u[base + 2 * S + s];
-      }
-    }
-
-    const double overlap_s = overlap_watch.total_seconds();
-    const double drain_s = drain_watch.total_seconds();
-    const double overlap_fraction =
-        (L.neighbors.empty() || overlap_s + drain_s <= 0.0)
-            ? 0.0
-            : overlap_s / (overlap_s + drain_s);
-    // Every lane shares the one batched execution, so each result carries
-    // the same per-rank stats; the exchange volume is the batched message
-    // size (S times the scalar volume, for one message round).
-    ParallelResult::RankStats st;
-    st.n_elems = L.elems.size();
-    st.n_boundary_elems = L.boundary_elems.size();
-    st.n_interior_elems = L.interior_elems.size();
-    st.n_local_nodes = L.nodes.size();
-    st.n_neighbors = L.neighbors.size();
-    st.doubles_sent_per_step = L.doubles_per_step * S;
-    st.flops = flops;
-    st.element_updates = elem_updates;
-    st.compute_seconds = compute_watch.total_seconds();
-    st.exchange_seconds = exchange_watch.total_seconds();
-    st.overlap_fraction = overlap_fraction;
-    for (std::size_t s = 0; s < S; ++s) results[s].rank_stats[r] = st;
-
-    obs::gauge_set("par/n_elems", static_cast<double>(L.elems.size()));
-    obs::gauge_set("par/doubles_sent_per_step",
-                   static_cast<double>(L.doubles_per_step * S));
-    obs::gauge_set("par/compute_seconds", compute_watch.total_seconds());
-    obs::gauge_set("par/exchange_seconds", exchange_watch.total_seconds());
-    obs::gauge_set("par/overlap_fraction", overlap_fraction);
-
-    // Telemetry gather to rank 0, attached to the first lane's result (the
-    // batch ran once; duplicating reports per lane would double-count).
-    if (obs::enabled()) {
-      if (rank.id() == 0) {
-        std::vector<obs::RankReport> reports;
-        reports.reserve(static_cast<std::size_t>(R));
-        reports.push_back(obs::RankReport{0, rank_regs[0]});
-        for (int s = 1; s < R; ++s) {
-          reports.push_back(obs::decode_report(rank.recv(s, kObsGatherTag)));
-        }
-        results[0].obs_summary = obs::merge_reports(reports);
-        results[0].obs_reports = std::move(reports);
-      } else {
-        rank.send(0, kObsGatherTag,
-                  obs::encode_report(obs::RankReport{rank.id(), rank_regs[r]}));
-      }
-    }
-    if (rank.id() == 0) agreed_stop = stop_k;
-  };
-
-  comm.run(spmd_body);
-  if (agreed_stop < n_steps) {
-    for (auto& res : results) {
-      res.cancelled = true;
-      res.steps_completed = agreed_stop;
-    }
-  }
-  return results;
 }
 
 // ---------------------------------------------------------------------------
@@ -2433,8 +1849,8 @@ ParallelResult ParallelSetup::Impl::run_lts(
     result.receiver_histories[ri].reserve(static_cast<std::size_t>(n_steps));
   }
 
-  // Plain-communicator policy, as in run_batch: no injected faults, no
-  // deadline on blocking ops, no in-place recovery.
+  // Plain-communicator policy: no injected faults, no deadline on blocking
+  // ops, no in-place recovery.
   comm.clear_fault_plan();
   comm.set_timeout(0.0);
   comm.set_recovery({false, 0});
@@ -2940,12 +2356,6 @@ ParallelResult ParallelSetup::run(
     std::span<const std::array<double, 3>> receiver_positions,
     const FaultToleranceOptions& ft, const RunControl& control) {
   return impl_->run(t_end, sources, receiver_positions, ft, control);
-}
-
-std::vector<ParallelResult> ParallelSetup::run_batch(
-    double t_end, std::span<const BatchScenario> scenarios,
-    const RunControl& control) {
-  return impl_->run_batch(t_end, scenarios, control);
 }
 
 ParallelResult ParallelSetup::run_lts(

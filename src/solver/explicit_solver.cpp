@@ -5,55 +5,28 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "quake/fem/hex_element.hpp"
 #include "quake/obs/obs.hpp"
 #include "quake/util/checkpoint.hpp"
 
 namespace quake::solver {
 
-namespace {
-
-// ForceSink writing one lane of a scenario-major batched force vector.
-class LaneForceSink final : public ForceSink {
- public:
-  LaneForceSink(std::span<double> f, int n_lanes, int lane)
-      : f_(f), lanes_(static_cast<std::size_t>(n_lanes)),
-        lane_(static_cast<std::size_t>(lane)) {}
-  void add(mesh::NodeId node, int comp, double value) override {
-    f_[(3 * static_cast<std::size_t>(node) + static_cast<std::size_t>(comp)) *
-           lanes_ +
-       lane_] += value;
-  }
-
- private:
-  std::span<double> f_;
-  std::size_t lanes_, lane_;
-};
-
-}  // namespace
-
 ExplicitSolver::ExplicitSolver(const ElasticOperator& op,
-                               const SolverOptions& opt, int n_lanes)
-    : op_(&op), opt_(opt), lanes_(n_lanes) {
+                               const SolverOptions& opt)
+    : op_(&op), opt_(opt) {
   dt_ = opt.dt > 0.0 ? opt.dt : op.stable_dt(opt.cfl_fraction);
   if (!(dt_ > 0.0) || !(opt.t_end > 0.0)) {
     throw std::invalid_argument("ExplicitSolver: bad dt or t_end");
   }
-  if (lanes_ < 1 || lanes_ > fem::kMaxBatchLanes) {
-    throw std::invalid_argument("ExplicitSolver: bad lane count");
-  }
   n_steps_ = static_cast<int>(std::ceil(opt.t_end / dt_));
-  sources_.resize(static_cast<std::size_t>(lanes_));
 
   const std::size_t nd = op.n_dofs();
-  const std::size_t nb = nd * static_cast<std::size_t>(lanes_);
-  u_.assign(nb, 0.0);
-  u_prev_.assign(nb, 0.0);
-  u_next_.assign(nb, 0.0);
-  f_.assign(nb, 0.0);
-  ku_.assign(nb, 0.0);
-  dku_.assign(nb, 0.0);
-  dku_prev_.assign(nb, 0.0);
+  u_.assign(nd, 0.0);
+  u_prev_.assign(nd, 0.0);
+  u_next_.assign(nd, 0.0);
+  f_.assign(nd, 0.0);
+  ku_.assign(nd, 0.0);
+  dku_.assign(nd, 0.0);
+  dku_prev_.assign(nd, 0.0);
 
   // Diagonal left-hand side of eq. 2.4:
   // (1 + alpha dt/2) M + (beta dt/2) K_diag + (dt/2) C^AB_diag,
@@ -73,16 +46,11 @@ ExplicitSolver::ExplicitSolver(const ElasticOperator& op,
 std::size_t ExplicitSolver::add_receiver(std::array<double, 3> position) {
   Receiver r;
   r.node = nearest_node(op_->mesh(), position);
-  r.u_lane.resize(static_cast<std::size_t>(lanes_ - 1));
   receivers_.push_back(std::move(r));
   return receivers_.size() - 1;
 }
 
 void ExplicitSolver::set_checkpoint(std::string path, int every, int keep) {
-  if (lanes_ > 1) {
-    throw std::invalid_argument(
-        "ExplicitSolver: checkpointing is not supported in batched mode");
-  }
   checkpoint_path_ = std::move(path);
   checkpoint_every_ = every;
   checkpoint_keep_ = keep < 1 ? 1 : keep;
@@ -90,10 +58,6 @@ void ExplicitSolver::set_checkpoint(std::string path, int every, int keep) {
 
 void ExplicitSolver::set_initial_conditions(std::span<const double> u0,
                                             std::span<const double> v0) {
-  if (lanes_ > 1) {
-    throw std::invalid_argument(
-        "ExplicitSolver: initial conditions require a 1-lane solver");
-  }
   const std::size_t nd = op_->n_dofs();
   if (u0.size() != nd || v0.size() != nd) {
     throw std::invalid_argument("set_initial_conditions: bad sizes");
@@ -107,7 +71,7 @@ void ExplicitSolver::set_initial_conditions(std::span<const double> u0,
   op_->apply_stiffness(u_, ku_, {});
   op_->accumulate_constraints(ku_);
   std::fill(f_.begin(), f_.end(), 0.0);
-  for (const SourceModel* s : sources_[0]) s->add_forces(0.0, f_);
+  for (const SourceModel* s : sources_) s->add_forces(0.0, f_);
   op_->accumulate_constraints(f_);
   const auto mass = op_->lumped_mass();
   for (std::size_t d = 0; d < nd; ++d) {
@@ -131,7 +95,7 @@ void ExplicitSolver::step(int k) {
     // Source at t_k, projected.
     QUAKE_OBS_SCOPE("source");
     std::fill(f_.begin(), f_.end(), 0.0);
-    for (const SourceModel* s : sources_[0]) s->add_forces(t_k, f_);
+    for (const SourceModel* s : sources_) s->add_forces(t_k, f_);
     op_->accumulate_constraints(f_);
   }
 
@@ -179,72 +143,6 @@ void ExplicitSolver::step(int k) {
   // Update cost per dof: 14 flops for the undamped eq. 2.4 recurrence, plus
   // 6 for the Rayleigh off-diagonal correction when damping is on.
   flops_.add(op_->flops_per_apply() + nd * (rayleigh ? 20ull : 14ull));
-}
-
-void ExplicitSolver::step_batched(int k) {
-  QUAKE_OBS_SCOPE("step");
-  const std::size_t nd = op_->n_dofs();
-  const std::size_t S = static_cast<std::size_t>(lanes_);
-  const double t_k = k * dt_;
-  const auto mass = op_->lumped_mass();
-  const auto am = op_->alpha_mass();
-  const auto bk = op_->beta_k_diag();
-  const auto cab = op_->cab_diag();
-  const bool rayleigh = op_->options().rayleigh;
-
-  {
-    QUAKE_OBS_SCOPE("source");
-    std::fill(f_.begin(), f_.end(), 0.0);
-    for (int s = 0; s < lanes_; ++s) {
-      LaneForceSink sink(f_, lanes_, s);
-      for (const SourceModel* src : sources_[static_cast<std::size_t>(s)]) {
-        src->add_forces(t_k, sink);
-      }
-    }
-    op_->accumulate_constraints_batch(f_, lanes_);
-  }
-
-  std::fill(ku_.begin(), ku_.end(), 0.0);
-  if (rayleigh) std::fill(dku_.begin(), dku_.end(), 0.0);
-  op_->apply_stiffness_batch(
-      u_, lanes_, ku_,
-      rayleigh ? std::span<double>(dku_) : std::span<double>());
-  op_->accumulate_constraints_batch(ku_, lanes_);
-  if (rayleigh) op_->accumulate_constraints_batch(dku_, lanes_);
-
-  QUAKE_OBS_SCOPE("update");  // eq. 2.4, lane loop innermost (see step())
-  const double dt2 = dt_ * dt_;
-  const double hdt = 0.5 * dt_;
-  for (std::size_t d = 0; d < nd; ++d) {
-    const std::size_t b = d * S;
-    for (std::size_t s = 0; s < S; ++s) {
-      double rhs = 2.0 * mass[d] * u_[b + s] - dt2 * ku_[b + s] +
-                   dt2 * f_[b + s] + (hdt * am[d] - mass[d]) * u_prev_[b + s] +
-                   hdt * cab[d] * u_prev_[b + s];
-      if (rayleigh) {
-        rhs -= hdt * (dku_[b + s] - bk[d] * u_[b + s]);
-        rhs += hdt * dku_prev_[b + s];
-      }
-      u_next_[b + s] = rhs * inv_lhs_[d];
-    }
-  }
-  op_->expand_constraints_batch(u_next_, lanes_);
-  if (fixed_[0] || fixed_[1] || fixed_[2]) {
-    for (std::size_t n = 0; n < nd / 3; ++n) {
-      for (int c = 0; c < 3; ++c) {
-        if (!fixed_[static_cast<std::size_t>(c)]) continue;
-        const std::size_t b = (3 * n + static_cast<std::size_t>(c)) * S;
-        for (std::size_t s = 0; s < S; ++s) u_next_[b + s] = 0.0;
-      }
-    }
-  }
-
-  std::swap(dku_prev_, dku_);
-  std::swap(u_prev_, u_);
-  std::swap(u_, u_next_);
-
-  flops_.add(static_cast<std::uint64_t>(lanes_) *
-             (op_->flops_per_apply() + nd * (rayleigh ? 20ull : 14ull)));
 }
 
 int ExplicitSolver::restore_checkpoint() {
@@ -327,23 +225,13 @@ void ExplicitSolver::run(const SnapshotFn& snapshot, int snapshot_every) {
     obs::counter_add("ckpt/restores", 1);
     obs::counter_add("ckpt/restored_steps", k0);
   }
-  const std::size_t S = static_cast<std::size_t>(lanes_);
   for (int k = k0; k < n_steps_; ++k) {
-    if (lanes_ == 1) {
-      step(k);
-    } else {
-      step_batched(k);
-    }
+    step(k);
     for (Receiver& r : receivers_) {
-      const std::size_t base = 3 * static_cast<std::size_t>(r.node) * S;
-      r.u.push_back({u_[base], u_[base + S], u_[base + 2 * S]});
-      for (std::size_t s = 1; s < S; ++s) {
-        r.u_lane[s - 1].push_back(
-            {u_[base + s], u_[base + S + s], u_[base + 2 * S + s]});
-      }
+      const std::size_t base = 3 * static_cast<std::size_t>(r.node);
+      r.u.push_back({u_[base], u_[base + 1], u_[base + 2]});
     }
-    if (snapshot && snapshot_every > 0 && (k + 1) % snapshot_every == 0 &&
-        lanes_ == 1) {
+    if (snapshot && snapshot_every > 0 && (k + 1) % snapshot_every == 0) {
       for (std::size_t d = 0; d < v.size(); ++d) {
         v[d] = (u_[d] - u_prev_[d]) / dt_;
       }
@@ -365,18 +253,12 @@ void ExplicitSolver::reset() {
   std::fill(ku_.begin(), ku_.end(), 0.0);
   std::fill(dku_.begin(), dku_.end(), 0.0);
   std::fill(dku_prev_.begin(), dku_prev_.end(), 0.0);
-  for (Receiver& r : receivers_) {
-    r.u.clear();
-    for (auto& lane : r.u_lane) lane.clear();
-  }
+  for (Receiver& r : receivers_) r.u.clear();
   elapsed_ = 0.0;
   flops_.clear();
 }
 
 double ExplicitSolver::energy() const {
-  if (lanes_ > 1) {
-    throw std::logic_error("ExplicitSolver::energy: requires a 1-lane solver");
-  }
   // The discrete energy that undamped central differences conserve exactly:
   //   E = 1/2 v_{k-1/2}^T M v_{k-1/2} + 1/2 u_k^T K u_{k-1},
   // with v_{k-1/2} = (u_k - u_{k-1}) / dt. (The staggered strain term is
@@ -395,27 +277,12 @@ double ExplicitSolver::energy() const {
   return ek + es;
 }
 
-std::vector<double> ExplicitSolver::receiver_component(std::size_t r, int comp,
-                                                       int lane) const {
-  const Receiver& rec = receivers_.at(r);
-  const auto& hist =
-      lane == 0 ? rec.u : rec.u_lane.at(static_cast<std::size_t>(lane - 1));
+std::vector<double> ExplicitSolver::receiver_component(std::size_t r,
+                                                       int comp) const {
+  const auto& hist = receivers_.at(r).u;
   std::vector<double> out(hist.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = hist[i][static_cast<std::size_t>(comp)];
-  }
-  return out;
-}
-
-std::vector<double> ExplicitSolver::displacement_lane(int lane) const {
-  if (lane < 0 || lane >= lanes_) {
-    throw std::out_of_range("ExplicitSolver::displacement_lane: bad lane");
-  }
-  const std::size_t nd = op_->n_dofs();
-  const std::size_t S = static_cast<std::size_t>(lanes_);
-  std::vector<double> out(nd);
-  for (std::size_t d = 0; d < nd; ++d) {
-    out[d] = u_[d * S + static_cast<std::size_t>(lane)];
   }
   return out;
 }

@@ -54,16 +54,6 @@ class ElasticOperator {
                               std::span<const double> u, std::span<double> y,
                               std::span<double> y_damp) const;
 
-  // Scenario-batched apply: `u` / `y` / `y_damp` hold `n_lanes` independent
-  // fields in scenario-major layout (lane s of dof d at index
-  // d * n_lanes + s; see docs/BATCHING.md), so one element sweep services
-  // all lanes through fem::hex_apply_batch. Lane s is bitwise identical to
-  // apply_stiffness on that lane alone. n_lanes must not exceed
-  // fem::kMaxBatchLanes.
-  void apply_stiffness_batch(std::span<const double> u, int n_lanes,
-                             std::span<double> y,
-                             std::span<double> y_damp) const;
-
   // Projected diagonal vectors, full-length; hanging entries are zero.
   [[nodiscard]] std::span<const double> lumped_mass() const { return mass_; }
   [[nodiscard]] std::span<const double> alpha_mass() const { return alpha_mass_; }
@@ -77,11 +67,6 @@ class ElasticOperator {
   void expand_constraints(std::span<double> u) const;
   // y_master += w_m * y_hanging, then y_hanging = 0 (the action of B^T).
   void accumulate_constraints(std::span<double> y) const;
-
-  // Scenario-major batched constraint projections (lane-for-lane bitwise
-  // identical to the unbatched forms).
-  void expand_constraints_batch(std::span<double> u, int n_lanes) const;
-  void accumulate_constraints_batch(std::span<double> y, int n_lanes) const;
 
   // CFL-limited stable time step: min over elements of h / vp, times the
   // given safety fraction.

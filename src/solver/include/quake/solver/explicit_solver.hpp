@@ -31,29 +31,15 @@ struct SolverOptions {
 
 struct Receiver {
   mesh::NodeId node;
-  std::vector<std::array<double, 3>> u;  // lane-0 displacement history
-  // Histories of lanes 1..n_lanes-1 of a batched solver (empty otherwise);
-  // u_lane[s-1] is lane s. Read through receiver_component(r, comp, lane).
-  std::vector<std::vector<std::array<double, 3>>> u_lane;
+  std::vector<std::array<double, 3>> u;  // displacement history
 };
 
 class ExplicitSolver {
  public:
-  // `n_lanes` > 1 runs a scenario batch: the solver advances n_lanes
-  // independent right-hand sides through one element sweep per step, state
-  // laid out scenario-major (lane s of dof d at index d * n_lanes + s; see
-  // docs/BATCHING.md). Each lane is bitwise identical to a 1-lane solver
-  // driven by that lane's sources. Batched mode excludes checkpointing,
-  // initial conditions, snapshots, and energy() — the serving path that
-  // batches never uses them.
-  ExplicitSolver(const ElasticOperator& op, const SolverOptions& opt,
-                 int n_lanes = 1);
+  ExplicitSolver(const ElasticOperator& op, const SolverOptions& opt);
 
-  // Sources are non-owning; they must outlive run(). `lane` selects which
-  // scenario of a batched solver the source drives.
-  void add_source(const SourceModel* src, int lane = 0) {
-    sources_.at(static_cast<std::size_t>(lane)).push_back(src);
-  }
+  // Sources are non-owning; they must outlive run().
+  void add_source(const SourceModel* src) { sources_.push_back(src); }
 
   // Registers a receiver at the node nearest `position`; returns its index.
   std::size_t add_receiver(std::array<double, 3> position);
@@ -96,14 +82,11 @@ class ExplicitSolver {
 
   [[nodiscard]] double dt() const { return dt_; }
   [[nodiscard]] int n_steps() const { return n_steps_; }
-  [[nodiscard]] int n_lanes() const { return lanes_; }
   [[nodiscard]] const std::vector<Receiver>& receivers() const {
     return receivers_;
   }
-  // Current displacement field. With n_lanes > 1 this is the scenario-major
-  // batch; use displacement_lane to extract one scenario's field.
+  // Current displacement field.
   [[nodiscard]] std::span<const double> displacement() const { return u_; }
-  [[nodiscard]] std::vector<double> displacement_lane(int lane) const;
 
   // Discrete energy 0.5 v^T M v + 0.5 u^T K u of the current state (v by
   // backward difference); used by the stability/energy-decay tests.
@@ -114,12 +97,11 @@ class ExplicitSolver {
   [[nodiscard]] std::uint64_t total_flops() const { return flops_.total(); }
 
   // One component of a receiver's history as a flat series.
-  [[nodiscard]] std::vector<double> receiver_component(std::size_t r, int comp,
-                                                       int lane = 0) const;
+  [[nodiscard]] std::vector<double> receiver_component(std::size_t r,
+                                                       int comp) const;
 
  private:
   void step(int k);
-  void step_batched(int k);
   // Returns the step to resume from (0 when no valid snapshot exists).
   int restore_checkpoint();
   void write_checkpoint(int step) const;
@@ -132,15 +114,12 @@ class ExplicitSolver {
   SolverOptions opt_;
   double dt_ = 0.0;
   int n_steps_ = 0;
-  int lanes_ = 1;
   std::array<bool, 3> fixed_{false, false, false};
 
-  std::vector<std::vector<const SourceModel*>> sources_;  // per lane
+  std::vector<const SourceModel*> sources_;
   std::vector<Receiver> receivers_;
 
   // State: u_ = u^k, u_prev_ = u^{k-1}; scratch vectors reused per step.
-  // With lanes_ > 1 each is scenario-major (3 * n_nodes * lanes_); the
-  // diagonal inv_lhs_ stays per-dof and is shared by every lane.
   std::vector<double> u_, u_prev_, u_next_, f_, ku_, dku_, dku_prev_;
   std::vector<double> inv_lhs_;
 

@@ -1,7 +1,7 @@
 #pragma once
 
 // quake::svc — the serving layer over the parallel solver (see
-// docs/SERVICE.md and docs/BATCHING.md). The paper's cost split is: mesh
+// docs/SERVICE.md). The paper's cost split is: mesh
 // generation and solver setup are expensive, each explicit step is O(N) —
 // so the production shape of this workload is MANY forward solves over ONE
 // fixed discretization (earthquake-sequence simulation, the GN–CG
@@ -10,11 +10,8 @@
 // (a par::ParallelSetup: ElasticOperator, ghost plans, boundary/interior
 // split, exchange buffers, communicator) and serves a stream of
 // ScenarioRequests through a sharded, bounded admission queue: one shard
-// and one worker per lane, requests routed to the shallowest shard. A lane
-// may additionally coalesce up to `max_batch` compatible waiting requests
-// into one scenario-batched solve (ParallelSetup::run_batch) so S requests
-// share one element sweep and one ghost-exchange round per step — with
-// results bitwise identical to running them one at a time.
+// and one worker per lane, requests routed to the shallowest shard. Each
+// lane runs one request at a time through ParallelSetup::run.
 //
 // Isolation semantics: all mutable solver state (displacement vectors,
 // receiver histories, telemetry registries, fault-plan cursors) is
@@ -160,19 +157,6 @@ struct ServiceOptions {
   // submit() routes each request to the shallowest shard (ties to the
   // lowest lane index).
   int lanes = 1;
-
-  // Scenario batching (see docs/BATCHING.md): a lane picking up a
-  // batchable request coalesces up to `max_batch` compatible waiting
-  // requests from its shard into one run_batch solve. A request is
-  // batchable iff it carries no deadline, no retry budget, and no fault
-  // tolerance; batch partners must share t_end. 1 = batching off. Must not
-  // exceed fem::kMaxBatchLanes.
-  int max_batch = 1;
-
-  // Aggregation window: with max_batch > 1, how long a lane holds an
-  // underfull batch open for more coalescible arrivals before solving.
-  // 0 = solve immediately with whatever is already waiting.
-  double batch_window_seconds = 0.0;
 };
 
 class SimulationService {
@@ -223,12 +207,11 @@ class SimulationService {
   [[nodiscard]] const par::ParallelSetup& setup() const { return setup_; }
   [[nodiscard]] double dt() const { return setup_.dt(); }
 
-  // Point-in-time service metrics snapshot: the svc/requests_* counters,
-  // the svc/retries, svc/batches, and svc/batched_requests counters, the
-  // svc/queue_depth (all shards summed), svc/lanes, svc/batch_size (width
-  // of the last solve launched), and svc/degraded gauges, the per-lane
-  // svc/lane<k>/queue_depth gauges and svc/lane<k>/requests|batches|
-  // rejected counters, and the svc/latency|queue|solve_seconds series are
+  // Point-in-time service metrics snapshot: the svc/requests_* and
+  // svc/retries counters, the svc/queue_depth (all shards summed),
+  // svc/lanes, and svc/degraded gauges, the per-lane
+  // svc/lane<k>/queue_depth gauges and svc/lane<k>/requests|rejected
+  // counters, and the svc/latency|queue|solve_seconds series are
   // always live; scope timings (svc/request/setup|solve|extract) accumulate
   // only while quake::obs is enabled. See docs/OBSERVABILITY.md.
   [[nodiscard]] obs::Registry metrics() const;
@@ -245,7 +228,6 @@ class SimulationService {
   void worker_loop(Lane& lane);
   ScenarioResult execute(par::ParallelSetup& setup, Pending& p,
                          std::uint64_t exec_index);
-  void execute_batch(Lane& lane, std::vector<std::unique_ptr<Pending>> batch);
 
   par::ParallelSetup setup_;  // lane 0's setup (the setup() accessor)
   std::vector<std::unique_ptr<par::ParallelSetup>> replica_setups_;  // lanes 1+
@@ -261,7 +243,6 @@ class SimulationService {
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::uint64_t> next_seq_{1};
   std::atomic<std::uint64_t> exec_counter_{0};
-  std::atomic<std::int64_t> last_batch_width_{0};  // svc/batch_size gauge
 
   // Live counters (ISSUE taxonomy); atomics so submit-side rejections are
   // counted without taking the queue lock's contention into metrics().
@@ -272,8 +253,6 @@ class SimulationService {
   std::atomic<std::int64_t> deadline_exceeded_{0};
   std::atomic<std::int64_t> failed_{0};
   std::atomic<std::int64_t> retries_{0};
-  std::atomic<std::int64_t> batches_{0};           // width > 1 solves launched
-  std::atomic<std::int64_t> batched_requests_{0};  // requests they carried
 
   // Degradation state + last executed request's recovery footprint, written
   // by the worker after each request, read by health()/metrics().

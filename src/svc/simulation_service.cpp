@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "quake/fem/hex_element.hpp"
 #include "quake/par/communicator.hpp"
 
 namespace quake::svc {
@@ -24,18 +23,6 @@ double counter_sum(const obs::MergedReport& m, const std::string& key) {
   return it == m.counters.end() ? 0.0 : it->second.sum;
 }
 
-// A request may join a scenario batch only when nothing about it needs the
-// per-request machinery the batched path does not carry: no end-to-end
-// deadline (the whole batch would inherit the tightest one), no
-// service-level retry budget, and no fault tolerance of any kind
-// (run_batch deliberately supports none — see docs/BATCHING.md for the
-// coalescing contract). Batch partners must additionally share t_end.
-bool batchable(const ScenarioRequest& r) {
-  return r.deadline_seconds == 0.0 && r.max_attempts <= 1 &&
-         r.ft.checkpoint_dir.empty() && r.ft.fault_plan == nullptr &&
-         r.ft.max_retries == 0 && r.ft.max_revives == 0;
-}
-
 }  // namespace
 
 struct SimulationService::Pending {
@@ -49,26 +36,20 @@ struct SimulationService::Pending {
 };
 
 // One worker lane: a ParallelSetup replica, its shard of the admission
-// queue, and what it is currently running. `queue` and the running_* state
-// are guarded by the service-wide mu_; the counters are atomics so
-// metrics() reads them without blocking admission.
+// queue, and the one request it is currently running. `queue` and the
+// running_* state are guarded by the service-wide mu_; the counters are
+// atomics so metrics() reads them without blocking admission.
 struct SimulationService::Lane {
   int index = 0;
   par::ParallelSetup* setup = nullptr;
   std::deque<std::unique_ptr<Pending>> queue;
 
-  // In-flight request ids and their per-request cancel flags (parallel
-  // vectors; empty = idle). For a batch, batch_cancel is a separate flag
-  // that fires only when EVERY member has been cancelled — the batch
-  // advances in lockstep, so stopping it early on one member's cancel
-  // would kill its partners' solves too. For a single run, batch_cancel
-  // aliases the member's own flag.
-  std::vector<std::uint64_t> running_ids;
-  std::vector<std::shared_ptr<std::atomic<bool>>> running_flags;
-  std::shared_ptr<std::atomic<bool>> running_batch_cancel;
+  // The in-flight request's id (0 = idle; ids start at 1) and its
+  // cooperative cancel flag.
+  std::uint64_t running_id = 0;
+  std::shared_ptr<std::atomic<bool>> running_cancel;
 
   std::atomic<std::int64_t> requests{0};  // requests this lane picked up
-  std::atomic<std::int64_t> batches{0};   // width > 1 solves it launched
   std::atomic<std::int64_t> rejected{0};  // shed at admission to this shard
 
   std::thread worker;
@@ -82,11 +63,6 @@ SimulationService::SimulationService(const mesh::HexMesh& mesh,
     : setup_(mesh, part, op_opt, base), opt_(opt) {
   if (opt_.lanes < 1) {
     throw std::invalid_argument("SimulationService: lanes must be >= 1");
-  }
-  if (opt_.max_batch < 1 || opt_.max_batch > fem::kMaxBatchLanes) {
-    throw std::invalid_argument(
-        "SimulationService: max_batch must be in [1, " +
-        std::to_string(fem::kMaxBatchLanes) + "]");
   }
   paused_ = opt_.start_paused;
   replica_setups_.reserve(static_cast<std::size_t>(opt_.lanes - 1));
@@ -116,13 +92,9 @@ SimulationService::~SimulationService() {
     for (auto& lane : lanes_) {
       for (auto& p : lane->queue) orphans.push_back(std::move(p));
       lane->queue.clear();
-      // Cancel whatever is in flight: every member flag, then the
-      // whole-batch flag (the all-members-cancelled invariant holds).
-      for (auto& f : lane->running_flags) {
-        f->store(true, std::memory_order_relaxed);
-      }
-      if (lane->running_batch_cancel) {
-        lane->running_batch_cancel->store(true, std::memory_order_relaxed);
+      // Cancel whatever is in flight.
+      if (lane->running_cancel) {
+        lane->running_cancel->store(true, std::memory_order_relaxed);
       }
     }
   }
@@ -183,23 +155,11 @@ bool SimulationService::cancel(std::uint64_t id) {
   {
     const std::lock_guard<std::mutex> lk(mu_);
     for (auto& lane : lanes_) {
-      // In flight on this lane: flip the member's cooperative flag. A solo
-      // run stops at its next step-boundary agreement (batch_cancel aliases
-      // the member flag); a batch stops early only once every member has
-      // been cancelled.
-      for (std::size_t i = 0; i < lane->running_ids.size(); ++i) {
-        if (lane->running_ids[i] != id) continue;
-        lane->running_flags[i]->store(true, std::memory_order_relaxed);
-        bool all = true;
-        for (const auto& f : lane->running_flags) {
-          if (!f->load(std::memory_order_relaxed)) {
-            all = false;
-            break;
-          }
-        }
-        if (all && lane->running_batch_cancel) {
-          lane->running_batch_cancel->store(true, std::memory_order_relaxed);
-        }
+      // In flight on this lane: flip its cooperative flag; the run stops
+      // at its next step-boundary agreement. An idle lane's running_id is
+      // 0, which no request carries, so id 0 never matches it.
+      if (lane->running_id != 0 && lane->running_id == id) {
+        lane->running_cancel->store(true, std::memory_order_relaxed);
         return true;
       }
       const auto it = std::find_if(
@@ -240,7 +200,7 @@ void SimulationService::wait_idle() {
   std::unique_lock<std::mutex> lk(mu_);
   idle_cv_.wait(lk, [&] {
     for (const auto& lane : lanes_) {
-      if (!lane->queue.empty() || !lane->running_ids.empty()) return false;
+      if (!lane->queue.empty() || lane->running_id != 0) return false;
     }
     return true;
   });
@@ -271,12 +231,7 @@ obs::Registry SimulationService::metrics() const {
       deadline_exceeded_.load(std::memory_order_relaxed);
   m.counters["svc/requests_failed"] = failed_.load(std::memory_order_relaxed);
   m.counters["svc/retries"] = retries_.load(std::memory_order_relaxed);
-  m.counters["svc/batches"] = batches_.load(std::memory_order_relaxed);
-  m.counters["svc/batched_requests"] =
-      batched_requests_.load(std::memory_order_relaxed);
   m.gauges["svc/lanes"] = static_cast<double>(opt_.lanes);
-  m.gauges["svc/batch_size"] =
-      static_cast<double>(last_batch_width_.load(std::memory_order_relaxed));
   {
     const std::lock_guard<std::mutex> lk(mu_);
     std::size_t depth = 0;
@@ -286,8 +241,6 @@ obs::Registry SimulationService::metrics() const {
           static_cast<double>(lane->queue.size());
       m.counters[prefix + "/requests"] =
           lane->requests.load(std::memory_order_relaxed);
-      m.counters[prefix + "/batches"] =
-          lane->batches.load(std::memory_order_relaxed);
       m.counters[prefix + "/rejected"] =
           lane->rejected.load(std::memory_order_relaxed);
       depth += lane->queue.size();
@@ -314,7 +267,7 @@ ServiceHealth SimulationService::health() const {
     h.in_flight = false;
     for (const auto& lane : lanes_) {
       h.queue_depth += lane->queue.size();
-      if (!lane->running_ids.empty()) h.in_flight = true;
+      if (lane->running_id != 0) h.in_flight = true;
     }
   }
   h.retries_total = retries_.load(std::memory_order_relaxed);
@@ -324,7 +277,7 @@ ServiceHealth SimulationService::health() const {
 
 void SimulationService::worker_loop(Lane& lane) {
   for (;;) {
-    std::vector<std::unique_ptr<Pending>> batch;
+    std::unique_ptr<Pending> p;
     {
       std::unique_lock<std::mutex> lk(mu_);
       work_cv_.wait(
@@ -332,120 +285,44 @@ void SimulationService::worker_loop(Lane& lane) {
       if (shutdown_) return;
       // Priority order within the shard: higher priority first, FIFO
       // within a level (admission seq as the tiebreak).
-      const auto pick_best = [](std::deque<std::unique_ptr<Pending>>& q) {
-        auto best = q.begin();
-        for (auto qi = q.begin(); qi != q.end(); ++qi) {
-          if ((*qi)->priority > (*best)->priority ||
-              ((*qi)->priority == (*best)->priority &&
-               (*qi)->seq < (*best)->seq)) {
-            best = qi;
-          }
-        }
-        return best;
-      };
-      auto it = pick_best(lane.queue);
-      std::unique_ptr<Pending> head = std::move(*it);
-      lane.queue.erase(it);
-      const bool can_batch = opt_.max_batch > 1 && batchable(head->req);
-      const double head_t_end = head->req.t_end;
-      // The head is in flight from this point — registering it before any
-      // aggregation wait keeps cancel() able to reach it.
-      lane.running_ids = {head->id};
-      lane.running_flags = {head->cancel_flag};
-      lane.running_batch_cancel = head->cancel_flag;
-      batch.push_back(std::move(head));
-
-      if (can_batch) {
-        const auto gather = [&] {
-          while (batch.size() < static_cast<std::size_t>(opt_.max_batch)) {
-            auto best = lane.queue.end();
-            for (auto qi = lane.queue.begin(); qi != lane.queue.end(); ++qi) {
-              if (!batchable((*qi)->req) || (*qi)->req.t_end != head_t_end) {
-                continue;
-              }
-              if (best == lane.queue.end() ||
-                  (*qi)->priority > (*best)->priority ||
-                  ((*qi)->priority == (*best)->priority &&
-                   (*qi)->seq < (*best)->seq)) {
-                best = qi;
-              }
-            }
-            if (best == lane.queue.end()) break;
-            lane.running_ids.push_back((*best)->id);
-            lane.running_flags.push_back((*best)->cancel_flag);
-            batch.push_back(std::move(*best));
-            lane.queue.erase(best);
-          }
-        };
-        gather();
-        if (batch.size() < static_cast<std::size_t>(opt_.max_batch) &&
-            opt_.batch_window_seconds > 0.0) {
-          // Hold the underfull batch open for late arrivals. Spurious and
-          // submit() wakeups re-gather; the window closes on time or when
-          // the batch fills.
-          const auto window_end =
-              Clock::now() +
-              std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(opt_.batch_window_seconds));
-          while (batch.size() < static_cast<std::size_t>(opt_.max_batch) &&
-                 !shutdown_) {
-            if (work_cv_.wait_until(lk, window_end) ==
-                std::cv_status::timeout) {
-              gather();
-              break;
-            }
-            gather();
-          }
-        }
-        if (batch.size() > 1) {
-          // The whole-batch flag: a fresh atomic that fires only when every
-          // member is cancelled. Members flagged during the window count.
-          auto bc = std::make_shared<std::atomic<bool>>(false);
-          bool all = true;
-          for (const auto& f : lane.running_flags) {
-            if (!f->load(std::memory_order_relaxed)) {
-              all = false;
-              break;
-            }
-          }
-          if (all || shutdown_) bc->store(true, std::memory_order_relaxed);
-          lane.running_batch_cancel = bc;
+      auto best = lane.queue.begin();
+      for (auto qi = lane.queue.begin(); qi != lane.queue.end(); ++qi) {
+        if ((*qi)->priority > (*best)->priority ||
+            ((*qi)->priority == (*best)->priority &&
+             (*qi)->seq < (*best)->seq)) {
+          best = qi;
         }
       }
+      p = std::move(*best);
+      lane.queue.erase(best);
+      lane.running_id = p->id;
+      lane.running_cancel = p->cancel_flag;
     }
 
-    if (batch.size() == 1) {
-      std::unique_ptr<Pending> p = std::move(batch.front());
-      batch.clear();
-      const std::uint64_t exec_index =
-          exec_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-      lane.requests.fetch_add(1, std::memory_order_relaxed);
-      last_batch_width_.store(1, std::memory_order_relaxed);
-      ScenarioResult res = execute(*lane.setup, *p, exec_index);
-      switch (res.status) {
-        case RequestStatus::kCompleted:
-          completed_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case RequestStatus::kCancelled:
-          cancelled_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case RequestStatus::kDeadlineExceeded:
-          deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case RequestStatus::kFailed:
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          break;
-      }
-      p->promise.set_value(std::move(res));
-    } else {
-      execute_batch(lane, std::move(batch));
+    const std::uint64_t exec_index =
+        exec_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
+    lane.requests.fetch_add(1, std::memory_order_relaxed);
+    ScenarioResult res = execute(*lane.setup, *p, exec_index);
+    switch (res.status) {
+      case RequestStatus::kCompleted:
+        completed_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case RequestStatus::kCancelled:
+        cancelled_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case RequestStatus::kDeadlineExceeded:
+        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case RequestStatus::kFailed:
+        failed_.fetch_add(1, std::memory_order_relaxed);
+        break;
     }
+    p->promise.set_value(std::move(res));
 
     {
       const std::lock_guard<std::mutex> lk(mu_);
-      lane.running_ids.clear();
-      lane.running_flags.clear();
-      lane.running_batch_cancel.reset();
+      lane.running_id = 0;
+      lane.running_cancel.reset();
     }
     idle_cv_.notify_all();
   }
@@ -607,148 +484,6 @@ ScenarioResult SimulationService::execute(par::ParallelSetup& setup,
     agg_.series["svc/solve_seconds"].push_back(res.solve_seconds);
   }
   return res;
-}
-
-// One coalesced solve for `batch.size()` requests. Members advance through
-// ParallelSetup::run_batch in lockstep; each member's result is bitwise
-// identical to what a solo run would have produced (docs/BATCHING.md). All
-// members are batchable by construction: no deadlines, no retries, no FT.
-void SimulationService::execute_batch(Lane& lane,
-                                      std::vector<std::unique_ptr<Pending>> batch) {
-  const std::size_t B = batch.size();
-  const std::uint64_t exec_base =
-      exec_counter_.fetch_add(B, std::memory_order_relaxed) + 1;
-  lane.requests.fetch_add(static_cast<std::int64_t>(B),
-                          std::memory_order_relaxed);
-  lane.batches.fetch_add(1, std::memory_order_relaxed);
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_requests_.fetch_add(static_cast<std::int64_t>(B),
-                              std::memory_order_relaxed);
-  last_batch_width_.store(static_cast<std::int64_t>(B),
-                          std::memory_order_relaxed);
-
-  const Clock::time_point picked = Clock::now();
-  std::vector<ScenarioResult> results(B);
-  for (std::size_t i = 0; i < B; ++i) {
-    results[i].id = batch[i]->id;
-    results[i].exec_index = exec_base + i;  // consecutive pickup order
-    results[i].queue_seconds = seconds_between(batch[i]->admitted, picked);
-  }
-
-  obs::Registry req_reg;
-  {
-    const obs::ScopedRegistry install(req_reg);
-    QUAKE_OBS_SCOPE("svc/request");
-
-    bool all_cancelled = true;
-    for (const auto& p : batch) {
-      if (!p->cancel_flag->load(std::memory_order_relaxed)) {
-        all_cancelled = false;
-        break;
-      }
-    }
-    if (all_cancelled) {
-      for (auto& r : results) r.status = RequestStatus::kCancelled;
-    } else {
-      // Materialize every member's sources; each becomes one scenario lane.
-      std::vector<std::vector<std::unique_ptr<solver::SourceModel>>> owned(B);
-      std::vector<par::BatchScenario> scenarios(B);
-      {
-        QUAKE_OBS_SCOPE("setup");
-        for (std::size_t i = 0; i < B; ++i) {
-          const ScenarioRequest& req = batch[i]->req;
-          owned[i].reserve(req.point_sources.size() +
-                           req.fault_sources.size());
-          for (const PointSourceSpec& s : req.point_sources) {
-            owned[i].push_back(std::make_unique<solver::PointSource>(
-                lane.setup->mesh(), s.position, s.direction, s.amplitude,
-                s.fp, s.tc));
-          }
-          for (const solver::FaultSource::Spec& s : req.fault_sources) {
-            owned[i].push_back(
-                std::make_unique<solver::FaultSource>(lane.setup->mesh(), s));
-          }
-          scenarios[i].sources.reserve(owned[i].size());
-          for (const auto& s : owned[i]) {
-            scenarios[i].sources.push_back(s.get());
-          }
-          scenarios[i].receivers = req.receivers;
-        }
-      }
-
-      par::RunControl ctl;
-      ctl.cancel = lane.running_batch_cancel.get();
-      ctl.check_every = opt_.cancel_check_every;
-
-      const Clock::time_point t0 = Clock::now();
-      try {
-        QUAKE_OBS_SCOPE("solve");
-        std::vector<par::ParallelResult> solves =
-            lane.setup->run_batch(batch.front()->req.t_end, scenarios, ctl);
-        for (std::size_t i = 0; i < B; ++i) {
-          // The batch stops early only when every member was cancelled; a
-          // member flagged after the solve finished completes normally,
-          // mirroring the solo cancel race.
-          results[i].status = solves[i].cancelled ? RequestStatus::kCancelled
-                                                  : RequestStatus::kCompleted;
-          results[i].solve = std::move(solves[i]);
-        }
-      } catch (const std::exception& e) {
-        // One failure fails the whole batch: the members shared one solve.
-        for (auto& r : results) {
-          r.status = RequestStatus::kFailed;
-          r.error = e.what();
-        }
-      }
-      const double solve_s = seconds_between(t0, Clock::now());
-      for (std::size_t i = 0; i < B; ++i) {
-        results[i].attempts = 1;
-        results[i].solve_seconds = solve_s;
-      }
-    }
-    const Clock::time_point done = Clock::now();
-    for (std::size_t i = 0; i < B; ++i) {
-      results[i].total_seconds = seconds_between(batch[i]->admitted, done);
-    }
-  }
-
-  {
-    // Health bookkeeping: batched runs carry no FT, so the recovery
-    // footprint is empty; the head member stands for the batch.
-    const std::lock_guard<std::mutex> lk(health_mu_);
-    degraded_ = results.front().status == RequestStatus::kFailed;
-    last_exec_ = ServiceHealth{};
-    last_exec_.last_id = results.front().id;
-    last_exec_.last_attempts = results.front().attempts;
-    last_exec_.last_solve_seconds = results.front().solve_seconds;
-  }
-  {
-    const std::lock_guard<std::mutex> lk(agg_mu_);
-    agg_.merge_from(req_reg);
-    for (const ScenarioResult& r : results) {
-      agg_.series["svc/latency_seconds"].push_back(r.total_seconds);
-      agg_.series["svc/queue_seconds"].push_back(r.queue_seconds);
-      agg_.series["svc/solve_seconds"].push_back(r.solve_seconds);
-    }
-  }
-
-  for (std::size_t i = 0; i < B; ++i) {
-    switch (results[i].status) {
-      case RequestStatus::kCompleted:
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case RequestStatus::kCancelled:
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case RequestStatus::kDeadlineExceeded:
-        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case RequestStatus::kFailed:
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        break;
-    }
-    batch[i]->promise.set_value(std::move(results[i]));
-  }
 }
 
 }  // namespace quake::svc

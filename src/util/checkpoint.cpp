@@ -211,7 +211,11 @@ SnapshotLoadStatus load_snapshot_status(const std::string& path,
       return SnapshotLoadStatus::kCorrupt;
     }
     std::vector<double> data(static_cast<std::size_t>(count));
-    std::memcpy(data.data(), buf.data() + off, count * sizeof(double));
+    // An empty field leaves data() null, and memcpy from/to null is
+    // undefined even for zero bytes.
+    if (count > 0) {
+      std::memcpy(data.data(), buf.data() + off, count * sizeof(double));
+    }
     off += static_cast<std::size_t>(count) * sizeof(double);
     snap.add(std::move(name), std::move(data));
   }

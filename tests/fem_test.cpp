@@ -150,7 +150,7 @@ TEST(HexReference, TransposedMatricesAreExactCopies) {
 
 TEST(HexApplyVectorized, BitwiseMatchesReference) {
   // The blocked kernel must be bitwise identical to the straight-line
-  // reference — every downstream contract (warm-vs-cold, batch-vs-solo,
+  // reference — every downstream contract (warm-vs-cold, served-vs-direct,
   // recovery-vs-undisturbed) assumes the element apply is deterministic to
   // the last bit. Randomized inputs, damping on and off, nonzero initial
   // accumulators (the kernel adds into y).
@@ -182,83 +182,8 @@ TEST(HexApplyVectorized, BitwiseMatchesReference) {
   }
 }
 
-TEST(HexApplyVectorized, BatchBitwiseMatchesReferenceAllLanes) {
-  // Every lane width 1..kMaxBatchLanes (covering both the fixed-width
-  // dispatch cases and the generic fallback), damping on/off: the
-  // dispatched batch kernel must match hex_apply_batch_ref bitwise, and
-  // each lane must match a solo hex_apply_ref on its deinterleaved data.
-  const HexReference& ref = HexReference::get();
-  quake::util::Rng rng(23);
-  for (int lanes = 1; lanes <= kMaxBatchLanes; ++lanes) {
-    const std::size_t n = static_cast<std::size_t>(kHexDofs * lanes);
-    for (int rep = 0; rep < 4; ++rep) {
-      const bool damp = (rep % 2) == 0;
-      std::vector<double> u(n), y0(n), d0(n);
-      for (double& v : u) v = rng.uniform(-1.0, 1.0);
-      for (std::size_t i = 0; i < n; ++i) {
-        y0[i] = rng.uniform(-1.0, 1.0);
-        d0[i] = rng.uniform(-1.0, 1.0);
-      }
-      const double sl = rng.uniform(0.1, 4.0);
-      const double sm = rng.uniform(0.1, 4.0);
-      const double beta = damp ? rng.uniform(0.0, 0.1) : 0.0;
-      std::vector<double> y_a = y0, y_b = y0, d_a = d0, d_b = d0;
-      hex_apply_batch(ref, u.data(), lanes, sl, sm, y_a.data(), beta,
-                      damp ? d_a.data() : nullptr);
-      hex_apply_batch_ref(ref, u.data(), lanes, sl, sm, y_b.data(), beta,
-                          damp ? d_b.data() : nullptr);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(y_a[i], y_b[i]) << "lanes=" << lanes << " i=" << i;
-        EXPECT_EQ(d_a[i], d_b[i]) << "lanes=" << lanes << " i=" << i;
-      }
-      // Per-lane identity against the solo reference kernel on the same
-      // initial accumulators, deinterleaved.
-      for (int s = 0; s < lanes; ++s) {
-        std::array<double, kHexDofs> us{}, ys{}, ds{};
-        for (int dof = 0; dof < kHexDofs; ++dof) {
-          const std::size_t bi = static_cast<std::size_t>(dof * lanes + s);
-          us[static_cast<std::size_t>(dof)] = u[bi];
-          ys[static_cast<std::size_t>(dof)] = y0[bi];
-          ds[static_cast<std::size_t>(dof)] = d0[bi];
-        }
-        hex_apply_ref(ref, us.data(), sl, sm, ys.data(), beta,
-                      damp ? ds.data() : nullptr);
-        for (int dof = 0; dof < kHexDofs; ++dof) {
-          const std::size_t bi = static_cast<std::size_t>(dof * lanes + s);
-          EXPECT_EQ(y_a[bi], ys[static_cast<std::size_t>(dof)])
-              << "lanes=" << lanes << " lane=" << s << " dof=" << dof;
-          EXPECT_EQ(d_a[bi], ds[static_cast<std::size_t>(dof)])
-              << "lanes=" << lanes << " lane=" << s << " dof=" << dof;
-        }
-      }
-    }
-  }
-}
-
-TEST(HexApplyBatch, RejectsBadLaneCount) {
-  // Regression: this used to be only an assert, so release callers with an
-  // oversized width silently overflowed the kernel's stack accumulators.
-  const HexReference& ref = HexReference::get();
-  std::vector<double> u(static_cast<std::size_t>(kHexDofs) *
-                            (kMaxBatchLanes + 1),
-                        0.0);
-  std::vector<double> y = u;
-  EXPECT_THROW(hex_apply_batch(ref, u.data(), 0, 1.0, 1.0, y.data(), 0.0,
-                               nullptr),
-               std::invalid_argument);
-  EXPECT_THROW(hex_apply_batch(ref, u.data(), -3, 1.0, 1.0, y.data(), 0.0,
-                               nullptr),
-               std::invalid_argument);
-  EXPECT_THROW(hex_apply_batch(ref, u.data(), kMaxBatchLanes + 1, 1.0, 1.0,
-                               y.data(), 0.0, nullptr),
-               std::invalid_argument);
-  EXPECT_THROW(hex_apply_batch_ref(ref, u.data(), kMaxBatchLanes + 1, 1.0,
-                                   1.0, y.data(), 0.0, nullptr),
-               std::invalid_argument);
-}
-
 TEST(HexApplyElems, MatchesElementAtATimeBitwise) {
-  // The element-batch entry point must be a pure restructure: each packed
+  // The element-block entry point must be a pure restructure: each packed
   // element sees exactly the solo hex_apply sequence.
   const HexReference& ref = HexReference::get();
   quake::util::Rng rng(31);

@@ -397,7 +397,8 @@ TEST(Communicator, TryRecvIntoNonBlocking) {
       std::vector<double> buf(2, 0.0);
       // Nothing posted yet: must return false immediately, not block.
       EXPECT_FALSE(r.try_recv_into(1, /*tag=*/5, buf));
-      r.barrier();  // rank 1 posts before this barrier completes
+      r.barrier();  // rank 1 posts only after this first barrier...
+      r.barrier();  // ...and before this second one completes
       EXPECT_TRUE(r.try_recv_into(1, /*tag=*/5, buf));
       EXPECT_DOUBLE_EQ(buf[0], 4.0);
       EXPECT_DOUBLE_EQ(buf[1], -1.5);
@@ -405,6 +406,7 @@ TEST(Communicator, TryRecvIntoNonBlocking) {
       EXPECT_FALSE(r.try_recv_into(1, /*tag=*/5, buf));
     } else {
       const std::vector<double> msg = {4.0, -1.5};
+      r.barrier();
       r.send(0, /*tag=*/5, msg);
       r.barrier();
     }
@@ -1882,139 +1884,6 @@ TEST(ParallelStats, BoundaryInteriorSplitReported) {
   EXPECT_EQ(r1.rank_stats[0].n_boundary_elems, 0u);
   EXPECT_EQ(r1.rank_stats[0].n_interior_elems, r1.rank_stats[0].n_elems);
   EXPECT_DOUBLE_EQ(r1.rank_stats[0].overlap_fraction, 0.0);
-}
-
-// ---- scenario-batched solves (run_batch, docs/BATCHING.md) ----------------
-
-// The batching guarantee: S scenarios advanced in lockstep through one
-// element sweep and one exchange round per step produce results BITWISE
-// identical to running each scenario alone on the same setup. Parameterized
-// over the batch width; Stacey + Rayleigh are on so the batched dku
-// exchange path is exercised too.
-class ParallelBatch : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelBatch, BatchMatchesSequentialBitwise) {
-  const int S = GetParam();
-  const auto mesh = small_basin_mesh();
-  solver::OperatorOptions oo;
-  oo.abc = fem::AbcType::kStacey;
-  oo.rayleigh = true;
-  oo.damping_f_min = 0.01;
-  oo.damping_f_max = 0.05;
-  solver::SolverOptions so;
-  so.t_end = 1.0;
-  so.cfl_fraction = 0.4;
-  const Partition part = partition_sfc(mesh, 2);
-  ParallelSetup setup(mesh, part, oo, so);
-
-  std::vector<solver::PointSource> srcs;
-  srcs.reserve(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    srcs.emplace_back(mesh,
-                      std::array<double, 3>{6000.0 + 2000.0 * s,
-                                            14000.0 - 1500.0 * s, 3000.0},
-                      std::array<double, 3>{1.0, 0.5 * s, 0.2}, 1e12,
-                      0.03 + 0.002 * s, 40.0 - 2.0 * s);
-  }
-  const std::vector<std::array<double, 3>> rxs = {{14000.0, 9000.0, 0.0},
-                                                  {6000.0, 11000.0, 0.0}};
-
-  std::vector<ParallelResult> sequential;
-  std::vector<BatchScenario> scenarios;
-  for (int s = 0; s < S; ++s) {
-    const solver::SourceModel* one[] = {&srcs[static_cast<std::size_t>(s)]};
-    sequential.push_back(setup.run(so.t_end, one, rxs));
-    scenarios.push_back({{&srcs[static_cast<std::size_t>(s)]}, rxs});
-  }
-
-  const std::vector<ParallelResult> batched =
-      setup.run_batch(so.t_end, scenarios);
-  ASSERT_EQ(batched.size(), static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    const ParallelResult& a = sequential[static_cast<std::size_t>(s)];
-    const ParallelResult& b = batched[static_cast<std::size_t>(s)];
-    EXPECT_FALSE(b.cancelled);
-    EXPECT_EQ(b.n_steps, a.n_steps);
-    ASSERT_EQ(b.u_final.size(), a.u_final.size());
-    EXPECT_EQ(std::memcmp(b.u_final.data(), a.u_final.data(),
-                          a.u_final.size() * sizeof(double)),
-              0);
-    ASSERT_EQ(b.receiver_histories.size(), a.receiver_histories.size());
-    for (std::size_t r = 0; r < a.receiver_histories.size(); ++r) {
-      ASSERT_EQ(b.receiver_histories[r].size(),
-                a.receiver_histories[r].size());
-      EXPECT_EQ(std::memcmp(b.receiver_histories[r].data(),
-                            a.receiver_histories[r].data(),
-                            a.receiver_histories[r].size() * 3 *
-                                sizeof(double)),
-                0);
-    }
-  }
-
-  // The batch reports the widened communication volume: every per-neighbor
-  // message carries all S right-hand-sides.
-  const ParallelResult solo = setup.run(
-      so.t_end,
-      std::span<const solver::SourceModel* const>{},
-      std::span<const std::array<double, 3>>{});
-  for (std::size_t r = 0; r < batched[0].rank_stats.size(); ++r) {
-    EXPECT_EQ(batched[0].rank_stats[r].doubles_sent_per_step,
-              solo.rank_stats[r].doubles_sent_per_step *
-                  static_cast<std::size_t>(S));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, ParallelBatch, ::testing::Values(2, 4));
-
-TEST(ParallelBatchControl, WidthValidated) {
-  const auto mesh = small_basin_mesh();
-  solver::OperatorOptions oo;
-  solver::SolverOptions so;
-  so.t_end = 0.5;
-  const Partition part = partition_sfc(mesh, 2);
-  ParallelSetup setup(mesh, part, oo, so);
-  EXPECT_THROW(setup.run_batch(so.t_end, {}), std::invalid_argument);
-  const std::vector<BatchScenario> too_many(
-      static_cast<std::size_t>(fem::kMaxBatchLanes) + 1);
-  EXPECT_THROW(setup.run_batch(so.t_end, too_many), std::invalid_argument);
-}
-
-// RunControl applies batch-wide: a cancelled batch stops every scenario at
-// the SAME step, and the setup stays reusable — the next solo run on it is
-// bit-identical to an undisturbed one.
-TEST(ParallelBatchControl, CancelStopsAllScenariosTogether) {
-  const auto mesh = small_basin_mesh();
-  solver::OperatorOptions oo;
-  solver::SolverOptions so;
-  so.t_end = 2.0;
-  so.cfl_fraction = 0.4;
-  const Partition part = partition_sfc(mesh, 2);
-  ParallelSetup setup(mesh, part, oo, so);
-
-  const solver::PointSource src(mesh, {10000.0, 10000.0, 4000.0},
-                                {1.0, 0.5, 0.2}, 1e12, 0.03, 40.0);
-  const std::vector<std::array<double, 3>> rxs = {{14000.0, 9000.0, 0.0}};
-  const std::vector<BatchScenario> scenarios(2,
-                                             BatchScenario{{&src}, rxs});
-
-  std::atomic<bool> cancel{true};  // pre-set: stops at the first agreement
-  RunControl ctl;
-  ctl.cancel = &cancel;
-  const std::vector<ParallelResult> stopped =
-      setup.run_batch(so.t_end, scenarios, ctl);
-  ASSERT_EQ(stopped.size(), 2u);
-  EXPECT_TRUE(stopped[0].cancelled);
-  EXPECT_TRUE(stopped[1].cancelled);
-  EXPECT_EQ(stopped[0].steps_completed, stopped[1].steps_completed);
-  EXPECT_LT(stopped[0].steps_completed, stopped[0].n_steps);
-
-  const solver::SourceModel* one[] = {&src};
-  const ParallelResult after = setup.run(so.t_end, one, rxs);
-  const ParallelResult cold = run_parallel(mesh, part, oo, so, one, rxs);
-  ASSERT_EQ(after.u_final.size(), cold.u_final.size());
-  EXPECT_EQ(std::memcmp(after.u_final.data(), cold.u_final.data(),
-                        cold.u_final.size() * sizeof(double)),
-            0);
 }
 
 }  // namespace

@@ -532,128 +532,4 @@ TEST(Solver, CorruptedCheckpointIgnored) {
   std::remove(path.c_str());
 }
 
-// ---- scenario-batched stepping (docs/BATCHING.md) -------------------------
-
-// The batched operator sweep must reproduce the scalar sweep bit for bit on
-// every lane: the lane loop is innermost everywhere, so lane s's
-// floating-point op sequence is exactly the scalar one. Run on the hanging
-// mesh so constraint folding is exercised too.
-TEST(Operator, ApplyStiffnessBatchMatchesScalarBitwise) {
-  const auto mesh = hanging_mesh(100.0);
-  ASSERT_GT(mesh.n_hanging(), 0u);
-  OperatorOptions oo;
-  oo.abc = fem::AbcType::kStacey;
-  oo.rayleigh = true;
-  oo.damping_f_min = 0.01;
-  oo.damping_f_max = 0.05;
-  const ElasticOperator op(mesh, oo);
-  const std::size_t nd = op.n_dofs();
-  const int S = 3;
-
-  util::Rng rng(7);
-  std::vector<std::vector<double>> u_s(static_cast<std::size_t>(S));
-  std::vector<double> ub(nd * static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    auto& u = u_s[static_cast<std::size_t>(s)];
-    u.resize(nd);
-    for (double& v : u) v = rng.uniform(-1.0, 1.0);
-    op.expand_constraints(u);
-    for (std::size_t d = 0; d < nd; ++d) {
-      ub[d * static_cast<std::size_t>(S) + static_cast<std::size_t>(s)] = u[d];
-    }
-  }
-
-  std::vector<double> yb(nd * static_cast<std::size_t>(S), 0.0);
-  std::vector<double> db(nd * static_cast<std::size_t>(S), 0.0);
-  op.apply_stiffness_batch(ub, S, yb, db);
-
-  for (int s = 0; s < S; ++s) {
-    std::vector<double> y(nd, 0.0), d(nd, 0.0);
-    op.apply_stiffness(u_s[static_cast<std::size_t>(s)], y, d);
-    for (std::size_t i = 0; i < nd; ++i) {
-      const std::size_t b = i * static_cast<std::size_t>(S) +
-                            static_cast<std::size_t>(s);
-      ASSERT_EQ(yb[b], y[i]) << "lane " << s << " dof " << i;
-      ASSERT_EQ(db[b], d[i]) << "lane " << s << " dof " << i;
-    }
-  }
-}
-
-// An S-lane ExplicitSolver advances S independent scenarios per step; each
-// lane's seismograms and final field must be bitwise identical to a scalar
-// solver run on that scenario alone.
-TEST(BatchSolver, LanesMatchScalarSolversBitwise) {
-  const auto mesh = hanging_mesh(100.0);
-  OperatorOptions oo;
-  oo.abc = fem::AbcType::kStacey;
-  oo.rayleigh = true;
-  oo.damping_f_min = 0.01;
-  oo.damping_f_max = 0.05;
-  const ElasticOperator op(mesh, oo);
-  SolverOptions so;
-  so.t_end = 0.05;
-  so.cfl_fraction = 0.4;
-
-  const int S = 2;
-  std::vector<PointSource> srcs;
-  srcs.reserve(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    srcs.emplace_back(mesh, std::array<double, 3>{30.0 + 40.0 * s, 50.0, 20.0},
-                      std::array<double, 3>{1.0, 0.0, 0.5 * s}, 1e9,
-                      50.0 + 10.0 * s, 0.01);
-  }
-  const std::array<double, 3> rx = {70.0, 30.0, 0.0};
-
-  ExplicitSolver batched(op, so, S);
-  for (int s = 0; s < S; ++s) {
-    batched.add_source(&srcs[static_cast<std::size_t>(s)], s);
-  }
-  batched.add_receiver(rx);
-  batched.run();
-  ASSERT_EQ(batched.n_lanes(), S);
-
-  for (int s = 0; s < S; ++s) {
-    ExplicitSolver scalar(op, so);
-    scalar.add_source(&srcs[static_cast<std::size_t>(s)]);
-    scalar.add_receiver(rx);
-    scalar.run();
-
-    const std::vector<double> lane = batched.displacement_lane(s);
-    ASSERT_EQ(lane.size(), scalar.displacement().size());
-    EXPECT_EQ(std::memcmp(lane.data(), scalar.displacement().data(),
-                          lane.size() * sizeof(double)),
-              0)
-        << "lane " << s;
-    for (int c = 0; c < 3; ++c) {
-      const std::vector<double> got = batched.receiver_component(0, c, s);
-      const std::vector<double> want = scalar.receiver_component(0, c);
-      ASSERT_EQ(got.size(), want.size());
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            want.size() * sizeof(double)),
-                0)
-          << "lane " << s << " comp " << c;
-    }
-  }
-}
-
-// Batch-mode guard rails: the lane count is validated against
-// fem::kMaxBatchLanes, and the scalar-only features (checkpointing, initial
-// conditions, energy accounting) refuse a multi-lane solver instead of
-// silently misbehaving.
-TEST(BatchSolver, GuardRails) {
-  const auto mesh = uniform_mesh(2, 100.0);
-  OperatorOptions oo;
-  const ElasticOperator op(mesh, oo);
-  SolverOptions so;
-  so.t_end = 0.05;
-
-  EXPECT_THROW(ExplicitSolver(op, so, 0), std::invalid_argument);
-  EXPECT_THROW(ExplicitSolver(op, so, fem::kMaxBatchLanes + 1),
-               std::invalid_argument);
-
-  ExplicitSolver batched(op, so, 2);
-  EXPECT_THROW(batched.set_checkpoint("/tmp/nope", 2), std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(batched.energy()), std::logic_error);
-}
-
 }  // namespace

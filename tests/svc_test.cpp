@@ -238,6 +238,7 @@ TEST(SimulationService, CancelWhileQueued) {
   EXPECT_TRUE(service.cancel(t2.id));
   EXPECT_FALSE(service.cancel(t2.id));      // already finished
   EXPECT_FALSE(service.cancel(99999));      // unknown id
+  EXPECT_FALSE(service.cancel(0));          // default Ticket id, lanes idle
 
   const svc::ScenarioResult r2 = t2.result.get();  // resolved immediately
   EXPECT_EQ(r2.status, svc::RequestStatus::kCancelled);
@@ -260,6 +261,7 @@ TEST(SimulationService, CancelMidSolveStopsAtStepBoundary) {
   req.t_end = 400.0 * service.dt();
   auto t = service.submit(req);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(service.cancel(0));  // default Ticket id, request in flight
   EXPECT_TRUE(service.cancel(t.id));
 
   const svc::ScenarioResult r = t.result.get();
@@ -620,69 +622,14 @@ TEST(MultiLane, CancelAndDeadlineRaceAcrossLanes) {
   EXPECT_EQ(t_ok.result.get().status, svc::RequestStatus::kCompleted);
 }
 
-// ---- scenario batching (run_batch coalescing, docs/BATCHING.md) -----------
+// ---- one solve per request ------------------------------------------------
 
-// A paused shard filled with batchable requests drains as coalesced
-// run_batch solves — counted as such, and bitwise identical to the cold
-// one-at-a-time baseline.
-TEST(ScenarioBatching, BatchedResultsMatchColdBitwise) {
-  const Fixture f;
-  const par::ParallelResult cold_a = f.cold(f.src_a);
-  const par::ParallelResult cold_b = f.cold(f.src_b);
-
-  svc::ServiceOptions opt;
-  opt.max_batch = 2;
-  opt.start_paused = true;
-  svc::SimulationService service(f.mesh, f.part, f.oo, f.so, opt);
-
-  std::vector<svc::SimulationService::Ticket> tickets;
-  for (int i = 0; i < 4; ++i) {
-    tickets.push_back(
-        service.submit(f.request(i % 2 == 0 ? f.src_a : f.src_b)));
-  }
-  service.resume();
-  for (int i = 0; i < 4; ++i) {
-    const svc::ScenarioResult r = tickets[static_cast<std::size_t>(i)]
-                                      .result.get();
-    ASSERT_EQ(r.status, svc::RequestStatus::kCompleted);
-    const par::ParallelResult& cold = i % 2 == 0 ? cold_a : cold_b;
-    EXPECT_TRUE(bitwise_equal(r.solve.receiver_histories,
-                              cold.receiver_histories));
-    EXPECT_TRUE(bitwise_equal(r.solve.u_final, cold.u_final));
-  }
-  service.wait_idle();
-
-  const obs::Registry m = service.metrics();
-  EXPECT_EQ(m.counters.at("svc/batches"), 2);          // two width-2 solves
-  EXPECT_EQ(m.counters.at("svc/batched_requests"), 4);
-  EXPECT_EQ(m.gauges.at("svc/batch_size"), 2.0);       // last solve's width
-  EXPECT_EQ(m.counters.at("svc/requests_completed"), 4);
-}
-
-// Batch members get consecutive pickup order: the coalesced requests share
-// one worker dequeue.
-TEST(ScenarioBatching, BatchMembersGetConsecutiveExecIndices) {
-  const Fixture f;
-  svc::ServiceOptions opt;
-  opt.max_batch = 2;
-  opt.start_paused = true;
-  svc::SimulationService service(f.mesh, f.part, f.oo, f.so, opt);
-  auto t1 = service.submit(f.request(f.src_a));
-  auto t2 = service.submit(f.request(f.src_b));
-  service.resume();
-  const svc::ScenarioResult r1 = t1.result.get();
-  const svc::ScenarioResult r2 = t2.result.get();
-  EXPECT_EQ(r1.exec_index, 1u);
-  EXPECT_EQ(r2.exec_index, 2u);
-}
-
-// The batchability contract: requests carrying a deadline, a retry budget,
-// or any fault-tolerance options never join a batch (their per-request
-// control could not apply batch-wide), and partners must share t_end.
+// Requests with a deadline, a retry budget, or their own t_end each run as
+// one solo solve in FIFO pickup order: a generous deadline and an unused
+// retry budget leave a clean request completing on its first attempt.
 TEST(ScenarioBatching, NonBatchableRequestsRunSolo) {
   const Fixture f;
   svc::ServiceOptions opt;
-  opt.max_batch = 4;
   opt.start_paused = true;
   svc::SimulationService service(f.mesh, f.part, f.oo, f.so, opt);
 
@@ -691,78 +638,28 @@ TEST(ScenarioBatching, NonBatchableRequestsRunSolo) {
   svc::ScenarioRequest with_retries = f.request(f.src_b);
   with_retries.max_attempts = 2;
   svc::ScenarioRequest other_t_end = f.request(f.src_a);
-  other_t_end.t_end = 0.5 * f.so.t_end;  // batchable, but no matching partner
+  other_t_end.t_end = 0.5 * f.so.t_end;
   svc::ScenarioRequest plain = f.request(f.src_b);
 
-  auto t1 = service.submit(std::move(with_deadline));
-  auto t2 = service.submit(std::move(with_retries));
-  auto t3 = service.submit(std::move(other_t_end));
-  auto t4 = service.submit(std::move(plain));
+  std::vector<svc::SimulationService::Ticket> tickets;
+  tickets.push_back(service.submit(std::move(with_deadline)));
+  tickets.push_back(service.submit(std::move(with_retries)));
+  tickets.push_back(service.submit(std::move(other_t_end)));
+  tickets.push_back(service.submit(std::move(plain)));
   service.resume();
 
-  EXPECT_EQ(t1.result.get().status, svc::RequestStatus::kCompleted);
-  EXPECT_EQ(t2.result.get().status, svc::RequestStatus::kCompleted);
-  EXPECT_EQ(t3.result.get().status, svc::RequestStatus::kCompleted);
-  EXPECT_EQ(t4.result.get().status, svc::RequestStatus::kCompleted);
-  service.wait_idle();
-
-  const obs::Registry m = service.metrics();
-  EXPECT_EQ(m.counters.at("svc/batches"), 0);
-  EXPECT_EQ(m.counters.at("svc/batched_requests"), 0);
-  EXPECT_EQ(m.counters.at("svc/requests_completed"), 4);
-}
-
-// The aggregation window holds an underfull batch open: a second batchable
-// request arriving within the window joins the first one's solve.
-TEST(ScenarioBatching, AggregationWindowCoalescesLateArrival) {
-  const Fixture f;
-  svc::ServiceOptions opt;
-  opt.max_batch = 2;
-  opt.batch_window_seconds = 5.0;  // generous; closes early once full
-  svc::SimulationService service(f.mesh, f.part, f.oo, f.so, opt);
-
-  auto t1 = service.submit(f.request(f.src_a));
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  auto t2 = service.submit(f.request(f.src_b));
-
-  EXPECT_EQ(t1.result.get().status, svc::RequestStatus::kCompleted);
-  EXPECT_EQ(t2.result.get().status, svc::RequestStatus::kCompleted);
-  service.wait_idle();
-
-  const obs::Registry m = service.metrics();
-  EXPECT_EQ(m.counters.at("svc/batches"), 1);
-  EXPECT_EQ(m.counters.at("svc/batched_requests"), 2);
-}
-
-// Cancelling EVERY member of a running batch stops the whole batched solve
-// at one step boundary; all members come back kCancelled with the same
-// partial step count.
-TEST(ScenarioBatching, CancellingAllMembersStopsBatch) {
-  const Fixture f;
-  svc::ServiceOptions opt;
-  opt.max_batch = 2;
-  opt.start_paused = true;
-  svc::SimulationService service(f.mesh, f.part, f.oo, f.so, opt);
-
-  svc::ScenarioRequest a = f.request(f.src_a);
-  a.t_end = 800.0 * service.dt();
-  svc::ScenarioRequest b = f.request(f.src_b);
-  b.t_end = 800.0 * service.dt();
-  auto t1 = service.submit(std::move(a));
-  auto t2 = service.submit(std::move(b));
-  service.resume();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  service.cancel(t1.id);
-  service.cancel(t2.id);
-
-  const svc::ScenarioResult r1 = t1.result.get();
-  const svc::ScenarioResult r2 = t2.result.get();
-  EXPECT_EQ(r1.status, svc::RequestStatus::kCancelled);
-  EXPECT_EQ(r2.status, svc::RequestStatus::kCancelled);
-  if (r1.exec_index != 0 && r2.exec_index != 0) {
-    EXPECT_EQ(r1.solve.steps_completed, r2.solve.steps_completed);
-    EXPECT_LT(r1.solve.steps_completed, r1.solve.n_steps);
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    const svc::ScenarioResult r = tickets[i].result.get();
+    EXPECT_EQ(r.status, svc::RequestStatus::kCompleted);
+    EXPECT_EQ(r.attempts, 1);
+    EXPECT_FALSE(r.solve.cancelled);
+    EXPECT_EQ(r.exec_index, i + 1);
   }
+  service.wait_idle();
+
+  const obs::Registry m = service.metrics();
+  EXPECT_EQ(m.counters.at("svc/requests_completed"), 4);
+  EXPECT_EQ(m.counters.at("svc/retries"), 0);
 }
 
 }  // namespace

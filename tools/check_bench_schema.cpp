@@ -12,11 +12,9 @@
 // is present in every row. Bench-specific contracts keyed on the bench
 // name pin evidence obligations: "throughput" (warm A/B numbers, zero
 // failed requests in the clean trial, a lane sweep at >= 2 lane counts
-// with bitwise-checked requests/sec, batch rows bitwise identical to
-// unbatched with at least one coalesced solve, bitwise kill isolation),
-// "fig2_1"
+// with bitwise-checked requests/sec, bitwise kill isolation), "fig2_1"
 // (per-phase store statistics with sane pool hit rates), and "table2_1"
-// (fault-sweep rows carry all four recovery policies with the
+// (fault-sweep rows carry all six sweep policies with the
 // recover/agree|restore|replay|resume breakdown, a zero-rollback replay
 // row, and a rolled-back rollback row; ladder rows carry the global-dt
 // element-update accounting, and --lts-sweep rows carry the off/on LTS
@@ -167,27 +165,22 @@ bool param_is(const Json& row, const char* key, const char* want) {
          p->as_string() == want;
 }
 
-// The throughput bench (bench_throughput, docs/SERVICE.md and
-// docs/BATCHING.md) claims setup amortization, lane/batch scaling, and
-// failure isolation; its report must carry the evidence. The warm row
-// needs the A/B numbers and a clean service (zero failed requests); the
-// lane sweep needs >= 2 distinct lane counts, each with a requests/sec
-// figure and a bitwise match against the single-lane baseline; every batch
-// row must prove the batched results are bitwise identical to unbatched,
-// and at least one must have actually batched (batch_size > 1); the kill
-// row must prove bitwise isolation of the surviving requests. This pins
-// the serving contract so a service regression cannot ship a green-looking
-// report.
+// The throughput bench (bench_throughput, docs/SERVICE.md) claims setup
+// amortization, lane scaling, and failure isolation; its report must carry
+// the evidence. The warm row needs the A/B numbers and a clean service
+// (zero failed requests); the lane sweep needs >= 2 distinct lane counts,
+// each with a requests/sec figure and a bitwise match against the
+// single-lane baseline; the kill row must prove bitwise isolation of the
+// surviving requests. This pins the serving contract so a service
+// regression cannot ship a green-looking report.
 bool check_throughput_contract(const Json& rows) {
   const Json* warm = nullptr;
   const Json* kill = nullptr;
   std::vector<const Json*> lane_rows;
-  std::vector<const Json*> batch_rows;
   for (const Json& row : rows.items()) {
     if (param_is(row, "mode", "warm")) warm = &row;
     if (param_is(row, "mode", "kill")) kill = &row;
     if (param_is(row, "mode", "lanes")) lane_rows.push_back(&row);
-    if (param_is(row, "mode", "batch")) batch_rows.push_back(&row);
   }
   g_context += " (throughput contract)";
   if (warm == nullptr) return fail("no row with params.mode == \"warm\"");
@@ -248,64 +241,28 @@ bool check_throughput_contract(const Json& rows) {
                 "lane counts");
   }
 
-  // Batch sweep: every row bitwise-identical to unbatched; at least one row
-  // must have actually coalesced (batch_size > 1 with batches > 0).
-  if (batch_rows.empty()) {
-    return fail("no row with params.mode == \"batch\"");
-  }
-  bool any_batched = false;
-  for (const Json* row : batch_rows) {
-    const Json* size = row_param(*row, "batch_size");
-    if (!is_number(size)) {
-      return fail("batch row needs numeric params.batch_size");
-    }
-    const Json* m = row->find("metrics");
-    for (const char* key :
-         {"requests_per_second", "requests_completed", "batches",
-          "batched_requests", "batch_matches_unbatched_bitwise",
-          "svc_requests_failed"}) {
-      if (m == nullptr || !is_number(m->find(key))) {
-        return fail(std::string("batch row needs numeric metrics.") + key);
-      }
-    }
-    if (m->find("batch_matches_unbatched_bitwise")->as_number() != 1.0) {
-      return fail("batch row reports batch_matches_unbatched_bitwise != 1");
-    }
-    if (m->find("svc_requests_failed")->as_number() != 0.0) {
-      return fail("batch row reports svc_requests_failed != 0");
-    }
-    if (size->as_number() > 1.0 && m->find("batches")->as_number() > 0.0) {
-      any_batched = true;
-    }
-  }
-  if (!any_batched) {
-    return fail("no batch row with params.batch_size > 1 and metrics.batches "
-                "> 0 (batching never exercised)");
-  }
   return true;
 }
 
 // The table2_1 --fault-sweep rows claim a recovery-latency comparison
 // across the three tiers (see DESIGN.md "Localized recovery"); when any
-// row carries a params.mode, all seven policies must be present and each
+// row carries a params.mode, all six policies must be present and each
 // must carry the wall-clock numbers, the recover/agree|restore|replay
 // |resume latency breakdown, the donation-wait split, and the compressed
 // log-ring accounting. The replay row must prove zero survivor rollback
 // (steps_rolled_back == 0, steps_replayed > 0 with the recover/replay
 // scope) and a live, compressing message log; the rollback row must
-// prove it actually rolled back; the donation_sync/donation_async pair
-// are fault-free controls (no recoveries, sync shows a nonzero blocking
-// wait); the multi_victim row must prove both victims restored from
-// donations in one concurrent tier-1 pass. Plain table rows (no
+// prove it actually rolled back; the donation_async row is a fault-free
+// control (no recoveries); the multi_victim row must prove both victims
+// restored from donations in one concurrent tier-1 pass. Plain table rows (no
 // params.mode) are exempt, so the contract is inert for runs without
 // --fault-sweep.
 bool check_table2_1_contract(const Json& rows) {
-  constexpr int kModes = 7;
+  constexpr int kModes = 6;
   const Json* sweep[kModes] = {};
-  const char* names[kModes] = {"clean",         "recovery",
-                               "rollback",      "full_restart",
-                               "donation_sync", "donation_async",
-                               "multi_victim"};
+  const char* names[kModes] = {"clean",          "recovery",
+                               "rollback",       "full_restart",
+                               "donation_async", "multi_victim"};
   bool any_mode = false;
   for (const Json& row : rows.items()) {
     if (row_param(row, "mode") == nullptr) continue;
@@ -358,16 +315,11 @@ bool check_table2_1_contract(const Json& rows) {
   if (bm->find("steps_rolled_back")->as_number() <= 0.0) {
     return fail("rollback row reports steps_rolled_back <= 0");
   }
-  const Json* sm = sweep[4]->find("metrics");
-  const Json* am = sweep[5]->find("metrics");
-  if (sm->find("recoveries")->as_number() != 0.0 ||
-      am->find("recoveries")->as_number() != 0.0) {
-    return fail("donation A/B rows must be fault-free (recoveries == 0)");
+  const Json* am_rec = sweep[4]->find("metrics")->find("recoveries");
+  if (!is_number(am_rec) || am_rec->as_number() != 0.0) {
+    return fail("donation_async row must be fault-free (recoveries == 0)");
   }
-  if (sm->find("donate_wait_max_seconds")->as_number() <= 0.0) {
-    return fail("donation_sync row reports no blocking donation wait");
-  }
-  const Json* vm = sweep[6]->find("metrics");
+  const Json* vm = sweep[5]->find("metrics");
   if (vm->find("steps_rolled_back")->as_number() != 0.0) {
     return fail("multi_victim row reports steps_rolled_back != 0");
   }
