@@ -26,8 +26,8 @@
 // pair reruns the Fig 2.2 layer-over-halfspace verification with the
 // global-dt ExplicitSolver and with LtsSolver on the same two-octree-level
 // mesh, reporting the closed-form error of each plus the measured
-// updates_saved_ratio; the parallel pair drives ParallelSetup::run_lts
-// off/on over the basin mesh and reports the ratio alongside the drift of
+// updates_saved_ratio; the parallel pair drives ParallelSetup::run at
+// max_rate 1/32 over the basin mesh and reports the ratio beside the drift of
 // the final field and seismogram from the global-dt run.
 //
 // --fault-sweep appends a recovery-latency comparison (see DESIGN.md
@@ -486,7 +486,6 @@ int main(int argc, char** argv) {
                        static_cast<double>(lmesh.n_elements());
       } else {
         lts::LtsOptions lo;
-        lo.enabled = true;
         lo.max_rate = kMaxRate;
         lts::LtsSolver s(lop, lsopt, lo);
         s.set_fixed_components({true, false, true});
@@ -542,7 +541,7 @@ int main(int argc, char** argv) {
 
     // Parallel pair: the basin demo mesh (three rate classes: the
     // min-level cap leaves deep fast rock coarse, and sediments carry a
-    // higher vp/vs than rock) through ParallelSetup::run_lts off/on.
+    // higher vp/vs than rock) through ParallelSetup::run with max_rate 1/32.
     mesh::MeshOptions bopt;
     bopt.domain_size = extent;
     bopt.f_max = 0.2;
@@ -588,10 +587,9 @@ int main(int argc, char** argv) {
     par::ParallelResult pr_off;
     for (int on = 0; on <= 1; ++on) {
       lts::LtsOptions lo;
-      lo.enabled = on != 0;
-      lo.max_rate = kMaxRate;
+      lo.max_rate = on != 0 ? kMaxRate : 1;
       par::ParallelResult pr =
-          setup.run_lts(bsopt.t_end, bsources, brecv, lo);
+          setup.run(bsopt.t_end, bsources, brecv, {}, {}, lo);
       std::uint64_t updates = 0;
       for (const auto& s : pr.rank_stats) updates += s.element_updates;
       const std::uint64_t global_updates =

@@ -26,6 +26,8 @@
 //                     recompute at the neighboring finer rate so every
 //                     node update sees fresh partials (see docs/LTS.md).
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -34,10 +36,9 @@
 namespace quake::lts {
 
 struct LtsOptions {
-  bool enabled = false;
   // Cap on the rate multipliers, clamped to the nearest power of two below.
-  // max_rate = 1 degenerates to the global-dt scheme.
-  int max_rate = 32;
+  // max_rate = 1 is the global-dt scheme.
+  int max_rate = 1;
 };
 
 struct Clustering {
@@ -53,9 +54,12 @@ struct Clustering {
 
   [[nodiscard]] int max_rate() const { return 1 << (n_classes - 1); }
 
-  // Whether compute class c runs at fine step k (k = 0 starts every class).
-  [[nodiscard]] static bool class_active(int c, int k) {
-    return (k & ((1 << c) - 1)) == 0;
+  // The classes that run at fine step k: class c runs iff 2^c divides k
+  // (k = 0 starts every class), so they are the prefix c <= active_cap(k).
+  [[nodiscard]] static int active_cap(int n_classes, int k) {
+    return k == 0 ? n_classes - 1
+                  : std::min(n_classes - 1,
+                             std::countr_zero(static_cast<unsigned>(k)));
   }
 
   // Element-kernel applications per fine step, as a fraction of the

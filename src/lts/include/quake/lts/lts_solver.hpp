@@ -6,9 +6,10 @@
 // ExplicitSolver (eq. 2.4), but each node steps with its own power-of-two
 // multiple of the base step: node n with rate p = 2^lg advances from u^k to
 // u^{k+p} using dt_n = p * dt, and only at fine steps k divisible by p. The
-// fine-step loop runs on the recursive two-level schedule of clustered LTS
+// fine steps run in order on the two-level schedule of clustered LTS
 // (Breuer & Heinecke, PAPERS.md): a rate-2^l window is two rate-2^(l-1)
-// half-windows, with the coarser classes joining at the window head.
+// half-windows, with the coarser classes joining at the window head, which
+// flattened is fine step k running the classes with 2^c | k.
 //
 // Interface handling is conservative and buffered through the state pair
 // (u_prev, u): a stale node holds its last update's bracket
@@ -66,9 +67,10 @@ class LtsSolver {
                                                        int comp) const;
   // Displacement field interpolated at t = n_steps * dt (every node's
   // bracket closes there; with one class this is the raw final field).
-  [[nodiscard]] std::span<const double> displacement() const {
+  [[nodiscard]] std::span<const double> displacement() const& {
     return u_final_;
   }
+  std::span<const double> displacement() const&& = delete;
 
   // Measured element-kernel applications, and the headline ratio against
   // the global-dt scheme's n_steps * n_elements.
@@ -88,12 +90,9 @@ class LtsSolver {
   [[nodiscard]] double elapsed_seconds() const { return elapsed_; }
 
  private:
-  void substep(int k);
-  // The recursive two-level schedule: a level-l window is two level-(l-1)
-  // half-windows; level 0 is one fine step.
-  void advance_window(int level, int k0);
-  void gather_now(int k);
-  void interpolate_at(int k_target, std::vector<double>& out) const;
+  void substep(int k);  // fine step k: the classes with 2^c | k
+  // Node n's bracket (u_prev, u) evaluated at fine step k_target.
+  void bracket_at(std::size_t n, int k_target, double* out) const;
 
   const solver::ElasticOperator* op_;
   double dt_ = 0.0;
@@ -107,8 +106,8 @@ class LtsSolver {
   // Per-rate node and constraint-group lists (by node_rate_log2).
   std::vector<std::vector<mesh::NodeId>> nodes_of_rate_;
   std::vector<std::vector<std::int32_t>> cons_of_rate_;
-  // Per-dof update coefficients for dt_n = 2^lg * dt (ldexp: exact).
-  std::vector<double> dtn_, dt2n_, hdtn_, inv_lhs_;
+  // Per-dof 1 / lhs of eq. 2.4 at the node's step dt_n = 2^lg * dt.
+  std::vector<double> inv_lhs_;
 
   std::vector<const solver::SourceModel*> sources_;
   std::vector<solver::Receiver> receivers_;

@@ -24,8 +24,7 @@ LtsSolver::LtsSolver(const solver::ElasticOperator& op,
   n_steps_ = static_cast<int>(std::ceil(opt.t_end / dt_));
 
   const mesh::HexMesh& mesh = op.mesh();
-  cl_ = cluster_elements(mesh, dt_, opt.cfl_fraction,
-                         lts.enabled ? lts.max_rate : 1);
+  cl_ = cluster_elements(mesh, dt_, opt.cfl_fraction, lts.max_rate);
 
   // Per-class / per-rate sweep lists, ascending so the full single-class
   // lists reproduce the global scheme's pack alignment bitwise.
@@ -58,9 +57,6 @@ LtsSolver::LtsSolver(const solver::ElasticOperator& op,
   // dt_n = 2^lg * dt. ldexp is exact, and at lg = 0 yields dt itself, so
   // the single-class coefficients match ExplicitSolver's bitwise.
   const std::size_t nd = op.n_dofs();
-  dtn_.assign(nd, 0.0);
-  dt2n_.assign(nd, 0.0);
-  hdtn_.assign(nd, 0.0);
   inv_lhs_.assign(nd, 0.0);
   const auto mass = op.lumped_mass();
   const auto am = op.alpha_mass();
@@ -69,9 +65,6 @@ LtsSolver::LtsSolver(const solver::ElasticOperator& op,
   for (std::size_t d = 0; d < nd; ++d) {
     const double dtn =
         std::ldexp(dt_, static_cast<int>(cl_.node_rate_log2[d / 3]));
-    dtn_[d] = dtn;
-    dt2n_[d] = dtn * dtn;
-    hdtn_[d] = 0.5 * dtn;
     const double lhs = mass[d] + 0.5 * dtn * (am[d] + bk[d] + cab[d]);
     inv_lhs_[d] = lhs > 0.0 ? 1.0 / lhs : 0.0;  // hanging dofs have zero mass
   }
@@ -110,58 +103,29 @@ void LtsSolver::set_initial_conditions(std::span<const double> u0,
   const auto mass = op_->lumped_mass();
   for (std::size_t d = 0; d < nd; ++d) {
     const double a0 = mass[d] > 0.0 ? (f_[d] - ku_[d]) / mass[d] : 0.0;
-    u_prev_[d] = u_[d] - dtn_[d] * v0[d] + 0.5 * dtn_[d] * dtn_[d] * a0;
+    const double dtn = std::ldexp(dt_, cl_.node_rate_log2[d / 3]);
+    u_prev_[d] = u_[d] - dtn * v0[d] + 0.5 * dtn * dtn * a0;
   }
   op_->expand_constraints(u_prev_);
 }
 
-void LtsSolver::gather_now(int k) {
-  // The time-k field: an active node's u is exactly u^k; a stale node's
-  // bracket (u_prev = u^{k0}, u = u^{k0+p}) interpolates linearly. theta's
+void LtsSolver::bracket_at(std::size_t n, int k_target, double* out) const {
+  // k_target lies in (k0, k0 + p] for the node's last update k0 — true for
+  // the step being computed, the step just completed and the final time.
+  // An active node's u is exactly u^{k_target}; a stale node's bracket
+  // (u_prev = u^{k0}, u = u^{k0+p}) interpolates linearly. theta's
   // numerator and denominator are exact small integers.
-  const std::size_t N = op_->mesh().n_nodes();
-  for (std::size_t n = 0; n < N; ++n) {
-    const int p = 1 << cl_.node_rate_log2[n];
-    const int m = k & (p - 1);
-    const std::size_t b = 3 * n;
-    if (m == 0) {
-      un_[b] = u_[b];
-      un_[b + 1] = u_[b + 1];
-      un_[b + 2] = u_[b + 2];
-    } else {
-      const double theta = static_cast<double>(m) / static_cast<double>(p);
-      for (int c = 0; c < 3; ++c) {
-        un_[b + static_cast<std::size_t>(c)] =
-            u_prev_[b + static_cast<std::size_t>(c)] +
-            theta * (u_[b + static_cast<std::size_t>(c)] -
-                     u_prev_[b + static_cast<std::size_t>(c)]);
-      }
-    }
-  }
-}
-
-void LtsSolver::interpolate_at(int k_target, std::vector<double>& out) const {
-  // Every node's open bracket after the last executed substep covers
-  // k_target = n_steps (k0 + p >= n_steps by p | k0, k0 <= n_steps - 1).
-  const int k_last = n_steps_ - 1;
-  const std::size_t N = op_->mesh().n_nodes();
-  for (std::size_t n = 0; n < N; ++n) {
-    const int p = 1 << cl_.node_rate_log2[n];
-    const int k0 = k_last - (k_last & (p - 1));
-    const std::size_t b = 3 * n;
-    if (k_target == k0 + p) {
-      out[b] = u_[b];
-      out[b + 1] = u_[b + 1];
-      out[b + 2] = u_[b + 2];
-    } else {
-      const double theta =
-          static_cast<double>(k_target - k0) / static_cast<double>(p);
-      for (int c = 0; c < 3; ++c) {
-        out[b + static_cast<std::size_t>(c)] =
-            u_prev_[b + static_cast<std::size_t>(c)] +
-            theta * (u_[b + static_cast<std::size_t>(c)] -
-                     u_prev_[b + static_cast<std::size_t>(c)]);
-      }
+  const int p = 1 << cl_.node_rate_log2[n];
+  const int m = k_target & (p - 1);
+  const std::size_t b = 3 * n;
+  if (m == 0) {
+    out[0] = u_[b];
+    out[1] = u_[b + 1];
+    out[2] = u_[b + 2];
+  } else {
+    const double theta = static_cast<double>(m) / static_cast<double>(p);
+    for (std::size_t c = 0; c < 3; ++c) {
+      out[c] = u_prev_[b + c] + theta * (u_[b + c] - u_prev_[b + c]);
     }
   }
 }
@@ -172,7 +136,9 @@ void LtsSolver::substep(int k) {
   const auto am = op_->alpha_mass();
   const auto cab = op_->cab_diag();
 
-  gather_now(k);
+  for (std::size_t n = 0; n < op_->mesh().n_nodes(); ++n) {
+    bracket_at(n, k, un_.data() + 3 * n);  // the time-k field
+  }
 
   {
     QUAKE_OBS_SCOPE("source");
@@ -186,8 +152,8 @@ void LtsSolver::substep(int k) {
   // so every element touching it (class <= rate, class | rate) is active.
   std::fill(ku_.begin(), ku_.end(), 0.0);
   std::uint64_t updates = 0;
-  for (int c = 0; c < cl_.n_classes; ++c) {
-    if (!Clustering::class_active(c, k)) continue;
+  const int cap = Clustering::active_cap(cl_.n_classes, k);
+  for (int c = 0; c <= cap; ++c) {
     const auto& elems = elems_of_class_[static_cast<std::size_t>(c)];
     op_->apply_stiffness_subset(
         elems, faces_of_class_[static_cast<std::size_t>(c)], un_, ku_, {});
@@ -199,16 +165,17 @@ void LtsSolver::substep(int k) {
                    static_cast<std::int64_t>(updates));
 
   QUAKE_OBS_SCOPE("update");  // eq. 2.4 at dt_n, active rates only
-  for (int lg = 0; lg < cl_.n_classes; ++lg) {
-    if (!Clustering::class_active(lg, k)) continue;
+  for (int lg = 0; lg <= cap; ++lg) {
+    const double dtn = std::ldexp(dt_, lg);  // exact: lg = 0 is dt itself
+    const double dt2 = dtn * dtn;
+    const double hdt = 0.5 * dtn;
     for (const mesh::NodeId node : nodes_of_rate_[static_cast<std::size_t>(lg)]) {
       const std::size_t b = 3 * static_cast<std::size_t>(node);
       for (std::size_t d = b; d < b + 3; ++d) {
         const double old_u = u_[d];
-        const double rhs = 2.0 * mass[d] * u_[d] - dt2n_[d] * ku_[d] +
-                           dt2n_[d] * f_[d] +
-                           (hdtn_[d] * am[d] - mass[d]) * u_prev_[d] +
-                           hdtn_[d] * cab[d] * u_prev_[d];
+        const double rhs = 2.0 * mass[d] * u_[d] - dt2 * ku_[d] + dt2 * f_[d] +
+                           (hdt * am[d] - mass[d]) * u_prev_[d] +
+                           hdt * cab[d] * u_prev_[d];
         u_prev_[d] = old_u;
         u_[d] = rhs * inv_lhs_[d];
       }
@@ -247,45 +214,20 @@ void LtsSolver::substep(int k) {
   // Receivers sample t_{k+1}; a rate-1 node reads u directly (bitwise the
   // global scheme's recording), a coarse node interpolates its bracket.
   for (solver::Receiver& r : receivers_) {
-    const std::size_t n = static_cast<std::size_t>(r.node);
-    const int p = 1 << cl_.node_rate_log2[n];
-    const int k0 = k - (k & (p - 1));
-    const std::size_t b = 3 * n;
-    if (k + 1 == k0 + p) {
-      r.u.push_back({u_[b], u_[b + 1], u_[b + 2]});
-    } else {
-      const double theta =
-          static_cast<double>(k + 1 - k0) / static_cast<double>(p);
-      std::array<double, 3> s;
-      for (int c = 0; c < 3; ++c) {
-        const std::size_t d = b + static_cast<std::size_t>(c);
-        s[static_cast<std::size_t>(c)] =
-            u_prev_[d] + theta * (u_[d] - u_prev_[d]);
-      }
-      r.u.push_back(s);
-    }
+    std::array<double, 3> s;
+    bracket_at(static_cast<std::size_t>(r.node), k + 1, s.data());
+    r.u.push_back(s);
   }
-}
-
-void LtsSolver::advance_window(int level, int k0) {
-  if (k0 >= n_steps_) return;  // ragged tail of the last window
-  if (level == 0) {
-    substep(k0);
-    return;
-  }
-  advance_window(level - 1, k0);
-  advance_window(level - 1, k0 + (1 << (level - 1)));
 }
 
 void LtsSolver::run() {
   QUAKE_OBS_SCOPE("lts/run");
   util::Timer timer;
   obs::gauge_set("lts/n_classes", cl_.n_classes);
-  const int W = 1 << (cl_.n_classes - 1);
-  for (int k0 = 0; k0 < n_steps_; k0 += W) {
-    advance_window(cl_.n_classes - 1, k0);
+  for (int k = 0; k < n_steps_; ++k) substep(k);
+  for (std::size_t n = 0; n < op_->mesh().n_nodes(); ++n) {
+    bracket_at(n, n_steps_, u_final_.data() + 3 * n);
   }
-  interpolate_at(n_steps_, u_final_);
   obs::gauge_set("lts/updates_saved_ratio", updates_saved_ratio());
   elapsed_ = timer.seconds();
 }

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,17 +40,6 @@
 namespace quake::par {
 
 struct FaultPlan;  // communicator.hpp
-
-// A buddy-snapshot donation the victim could not use: the stream never
-// arrived within the recovery deadline (donor dead or stalled mid-
-// donation) or its payload failed the size/step integrity check. Handled
-// inside the recovery protocol — the victim votes its restore failed and
-// every rank falls back to tier-2 rollback — so a broken donation degrades
-// the recovery by one tier instead of aborting it into a full restart.
-class DonationError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 struct ParallelResult {
   std::vector<double> u_final;  // gathered full-length displacement
@@ -225,53 +213,41 @@ class ParallelSetup {
   // One forward solve on the shared setup. A failed run (rank failure with
   // retries exhausted) throws exactly as run_parallel does and leaves the
   // setup reusable: the next run starts from clean per-request state.
+  //
+  // `lts` is the class schedule (see docs/LTS.md and quake::lts). The
+  // default max_rate = 1 is the global-dt step. With max_rate > 1 elements
+  // are binned into power-of-two CFL rate clusters against the setup's
+  // shared dt; each node advances at its own rate, and at fine step k a
+  // per-neighbor message carries only the shared nodes whose rate divides
+  // k, so a quiet coarse cluster exchanges at its own rate and a step with
+  // no active shared nodes on an edge sends nothing at all.
+  // `rank_stats[r].element_updates` (and the `par/element_updates` counter)
+  // measure the work actually done. A mesh that clusters into a single rate
+  // is bitwise-identical to max_rate = 1; multi-rate runs agree with it
+  // within the tolerance tier documented in docs/LTS.md. max_rate > 1
+  // rejects Rayleigh damping and armed fault tolerance (a checkpoint dir or
+  // max_revives > 0) with invalid_argument.
   ParallelResult run(double t_end,
                      std::span<const solver::SourceModel* const> sources,
                      std::span<const std::array<double, 3>> receiver_positions,
                      const FaultToleranceOptions& ft = {},
-                     const RunControl& control = {});
-
-  // One forward solve under clustered local time stepping (see docs/LTS.md
-  // and quake::lts). Elements are binned into power-of-two CFL rate
-  // clusters against the setup's shared dt; each node advances at its own
-  // rate, the boundary/interior split and coalesced exchange become
-  // per-(cluster, neighbor) payloads — at fine step k a message carries
-  // only the shared nodes whose rate divides k, so a quiet coarse cluster
-  // exchanges at its own rate and a step with no active shared nodes on an
-  // edge sends nothing at all. `rank_stats[r].element_updates` (and the
-  // `par/element_updates` counter) measure the work actually done.
-  //
-  // With `lts.enabled == false` this forwards to run() (bitwise-identical
-  // global-dt path); a mesh that clusters into a single rate is likewise
-  // bitwise-identical to run(). Multi-rate runs agree with run() within
-  // the tolerance tier documented in docs/LTS.md. Rayleigh damping and
-  // fault tolerance are not supported (invalid_argument).
-  ParallelResult run_lts(double t_end,
-                         std::span<const solver::SourceModel* const> sources,
-                         std::span<const std::array<double, 3>> receiver_positions,
-                         const lts::LtsOptions& lts,
-                         const RunControl& control = {});
+                     const RunControl& control = {},
+                     const lts::LtsOptions& lts = {});
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-// Runs the partitioned simulation with `part.n_ranks` in-process ranks.
-ParallelResult run_parallel(
-    const mesh::HexMesh& mesh, const Partition& part,
-    const solver::OperatorOptions& op_opt, const solver::SolverOptions& so,
-    std::span<const solver::SourceModel* const> sources,
-    std::span<const std::array<double, 3>> receiver_positions);
-
-// As above, with fault tolerance: supervised retry on rank failure,
+// Runs the partitioned simulation with `part.n_ranks` in-process ranks;
+// `ft` adds fault tolerance: supervised retry on rank failure,
 // checkpoint/restart, comm deadlines, and deterministic fault injection.
 ParallelResult run_parallel(
     const mesh::HexMesh& mesh, const Partition& part,
     const solver::OperatorOptions& op_opt, const solver::SolverOptions& so,
     std::span<const solver::SourceModel* const> sources,
     std::span<const std::array<double, 3>> receiver_positions,
-    const FaultToleranceOptions& ft);
+    const FaultToleranceOptions& ft = {});
 
 // Analytic machine model used to translate measured per-rank work and
 // communication volumes into the parallel-efficiency column of Table 2.1

@@ -55,13 +55,20 @@ class ElasticOperator {
                               std::span<double> y_damp) const;
 
   // Projected diagonal vectors, full-length; hanging entries are zero.
-  [[nodiscard]] std::span<const double> lumped_mass() const { return mass_; }
-  [[nodiscard]] std::span<const double> alpha_mass() const { return alpha_mass_; }
-  [[nodiscard]] std::span<const double> cab_diag() const { return cab_diag_; }
-  [[nodiscard]] std::span<const double> k_diag() const { return k_diag_; }
-  [[nodiscard]] std::span<const double> beta_k_diag() const {
+  // Like every span accessor here, they view the operator's storage, so the
+  // rvalue overloads are deleted: bind the operator to a named object first.
+  [[nodiscard]] std::span<const double> lumped_mass() const& { return mass_; }
+  std::span<const double> lumped_mass() const&& = delete;
+  [[nodiscard]] std::span<const double> alpha_mass() const& { return alpha_mass_; }
+  std::span<const double> alpha_mass() const&& = delete;
+  [[nodiscard]] std::span<const double> cab_diag() const& { return cab_diag_; }
+  std::span<const double> cab_diag() const&& = delete;
+  [[nodiscard]] std::span<const double> k_diag() const& { return k_diag_; }
+  std::span<const double> k_diag() const&& = delete;
+  [[nodiscard]] std::span<const double> beta_k_diag() const& {
     return beta_k_diag_;
   }
+  std::span<const double> beta_k_diag() const&& = delete;
 
   // u_hanging = sum_m w_m u_master (the action of B on independent values).
   void expand_constraints(std::span<double> u) const;
@@ -75,9 +82,10 @@ class ElasticOperator {
   // Flops of one apply_stiffness sweep (for Mflop/s accounting).
   [[nodiscard]] std::uint64_t flops_per_apply() const;
 
-  [[nodiscard]] std::span<const fem::RayleighCoeffs> element_damping() const {
+  [[nodiscard]] std::span<const fem::RayleighCoeffs> element_damping() const& {
     return elem_damping_;
   }
+  std::span<const fem::RayleighCoeffs> element_damping() const&& = delete;
 
  private:
   const mesh::HexMesh* mesh_;

@@ -86,7 +86,8 @@ class ExplicitSolver {
     return receivers_;
   }
   // Current displacement field.
-  [[nodiscard]] std::span<const double> displacement() const { return u_; }
+  [[nodiscard]] std::span<const double> displacement() const& { return u_; }
+  std::span<const double> displacement() const&& = delete;
 
   // Discrete energy 0.5 v^T M v + 0.5 u^T K u of the current state (v by
   // backward difference); used by the stability/energy-decay tests.

@@ -31,7 +31,8 @@ class SurfaceRaster {
 
   // Updates the running per-pixel peak with the given magnitudes.
   void update_peak(std::span<const double> magnitudes);
-  [[nodiscard]] std::span<const double> peak() const { return peak_; }
+  [[nodiscard]] std::span<const double> peak() const& { return peak_; }
+  std::span<const double> peak() const&& = delete;
 
   // Writes a PGM of the given per-pixel values in [lo, hi].
   void write_pgm(const std::string& path, std::span<const double> values,

@@ -27,7 +27,8 @@ class ShModel {
   ShModel(const ShGrid& grid, std::vector<double> mu, double rho);
 
   [[nodiscard]] const ShGrid& grid() const { return grid_; }
-  [[nodiscard]] std::span<const double> mu() const { return mu_; }
+  [[nodiscard]] std::span<const double> mu() const& { return mu_; }
+  std::span<const double> mu() const&& = delete;
   [[nodiscard]] double rho() const { return rho_; }
 
   // y += K(mu) u.
@@ -36,9 +37,11 @@ class ShModel {
   void apply_k_delta(std::span<const double> dmu, std::span<const double> u,
                      std::span<double> y) const;
 
-  [[nodiscard]] std::span<const double> mass() const { return mass_; }
+  [[nodiscard]] std::span<const double> mass() const& { return mass_; }
+  std::span<const double> mass() const&& = delete;
   // Diagonal boundary dashpot C(mu).
-  [[nodiscard]] std::span<const double> damping() const { return damping_; }
+  [[nodiscard]] std::span<const double> damping() const& { return damping_; }
+  std::span<const double> damping() const&& = delete;
   // y += dC/dmu[dmu] * v — derivative of the dashpot diagonal.
   void apply_c_delta(std::span<const double> dmu, std::span<const double> v,
                      std::span<double> y) const;

@@ -37,7 +37,8 @@ class ScalarModel3d {
   ScalarModel3d(const ScalarGrid3d& grid, std::vector<double> mu, double rho);
 
   [[nodiscard]] const ScalarGrid3d& grid() const { return grid_; }
-  [[nodiscard]] std::span<const double> mu() const { return mu_; }
+  [[nodiscard]] std::span<const double> mu() const& { return mu_; }
+  std::span<const double> mu() const&& = delete;
   [[nodiscard]] double rho() const { return rho_; }
 
   // y += K(mu) u   (K_e = mu_e * h * K_scalar).
@@ -49,8 +50,10 @@ class ScalarModel3d {
                          std::span<const double> u,
                          std::span<double> ge) const;
 
-  [[nodiscard]] std::span<const double> mass() const { return mass_; }
-  [[nodiscard]] std::span<const double> damping() const { return damping_; }
+  [[nodiscard]] std::span<const double> mass() const& { return mass_; }
+  std::span<const double> mass() const&& = delete;
+  [[nodiscard]] std::span<const double> damping() const& { return damping_; }
+  std::span<const double> damping() const&& = delete;
   void apply_c_delta(std::span<const double> dmu, std::span<const double> v,
                      std::span<double> y) const;
   void accumulate_c_form(std::span<const double> lambda,

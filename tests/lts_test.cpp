@@ -3,8 +3,9 @@
 // adjacency normalization through hanging-node constraint groups), the
 // serial LtsSolver (bitwise-identical to ExplicitSolver with one class,
 // tolerance-equivalent to global dt with several), and the parallel
-// ParallelSetup::run_lts path (global-dt forwarding, single-class bitwise
-// anchor, multi-rate equivalence, and bitwise determinism across repeats).
+// ParallelSetup::run class schedule (max_rate = 1 is the global run,
+// single-class bitwise anchor, multi-rate equivalence, bitwise determinism
+// across repeats, and the options it rejects).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <set>
 #include <vector>
 
@@ -242,7 +244,6 @@ TEST(LtsSerial, SingleClassBitwiseMatchesExplicitSolver) {
   ref.run();
 
   lts::LtsOptions lo;
-  lo.enabled = true;
   lo.max_rate = 32;
   lts::LtsSolver sol(op, so, lo);
   sol.add_source(&src);
@@ -288,7 +289,6 @@ TEST(LtsSerial, TwoRateMatchesGlobalWithinTolerance) {
   ref.run();
 
   lts::LtsOptions lo;
-  lo.enabled = true;
   lo.max_rate = 32;
   lts::LtsSolver sol(op, so, lo);
   sol.set_fixed_components({true, false, true});
@@ -316,7 +316,6 @@ TEST(LtsSerial, ElementUpdatesFollowTheSchedule) {
   so.cfl_fraction = 0.35;
   const solver::ElasticOperator op(mesh, oo);
   lts::LtsOptions lo;
-  lo.enabled = true;
   lo.max_rate = 32;
   lts::LtsSolver sol(op, so, lo);
   sol.run();
@@ -343,7 +342,6 @@ TEST(LtsSerial, RayleighDampingRejected) {
   solver::SolverOptions so;
   so.t_end = 0.1;
   lts::LtsOptions lo;
-  lo.enabled = true;
   EXPECT_THROW(lts::LtsSolver(op, so, lo), std::invalid_argument);
 }
 
@@ -363,7 +361,7 @@ TEST(LtsParallel, DisabledForwardsToGlobalRun) {
       par::run_parallel(mesh, part, oo, so, sources, rxs);
   par::ParallelSetup setup(mesh, part, oo, so);
   const par::ParallelResult pr =
-      setup.run_lts(so.t_end, sources, rxs, lts::LtsOptions{});
+      setup.run(so.t_end, sources, rxs, {}, {}, lts::LtsOptions{});
 
   ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
   EXPECT_EQ(std::memcmp(pr.u_final.data(), ref.u_final.data(),
@@ -391,9 +389,9 @@ TEST(LtsParallel, SingleClassBitwiseMatchesGlobalRun) {
       par::run_parallel(mesh, part, oo, so, sources, rxs);
   par::ParallelSetup setup(mesh, part, oo, so);
   lts::LtsOptions lo;
-  lo.enabled = true;
   lo.max_rate = 32;
-  const par::ParallelResult pr = setup.run_lts(so.t_end, sources, rxs, lo);
+  const par::ParallelResult pr =
+      setup.run(so.t_end, sources, rxs, {}, {}, lo);
 
   EXPECT_EQ(pr.n_steps, ref.n_steps);
   ASSERT_EQ(pr.u_final.size(), ref.u_final.size());
@@ -421,11 +419,12 @@ TEST(LtsParallel, MultiRateMatchesGlobalWithinTolerance) {
   par::ParallelSetup setup(mesh, part, oo, so);
 
   lts::LtsOptions off;
-  const par::ParallelResult ref = setup.run_lts(so.t_end, sources, rxs, off);
+  const par::ParallelResult ref =
+      setup.run(so.t_end, sources, rxs, {}, {}, off);
   lts::LtsOptions on;
-  on.enabled = true;
   on.max_rate = 32;
-  const par::ParallelResult pr = setup.run_lts(so.t_end, sources, rxs, on);
+  const par::ParallelResult pr =
+      setup.run(so.t_end, sources, rxs, {}, {}, on);
 
   EXPECT_EQ(pr.n_steps, ref.n_steps);
   std::uint64_t updates = 0;
@@ -448,15 +447,16 @@ TEST(LtsParallel, RepeatedMultiRankRunsBitIdentical) {
   const solver::SourceModel* sources[] = {&src};
   const std::array<double, 3> rxs[] = {{14000.0, 9000.0, 0.0}};
   lts::LtsOptions on;
-  on.enabled = true;
   on.max_rate = 32;
 
   for (const int R : {2, 4}) {
     SCOPED_TRACE("ranks=" + std::to_string(R));
     const par::Partition part = par::partition_sfc(mesh, R);
     par::ParallelSetup setup(mesh, part, oo, so);
-    const par::ParallelResult a = setup.run_lts(so.t_end, sources, rxs, on);
-    const par::ParallelResult b = setup.run_lts(so.t_end, sources, rxs, on);
+    const par::ParallelResult a =
+        setup.run(so.t_end, sources, rxs, {}, {}, on);
+    const par::ParallelResult b =
+        setup.run(so.t_end, sources, rxs, {}, {}, on);
     ASSERT_EQ(a.u_final.size(), b.u_final.size());
     EXPECT_EQ(std::memcmp(a.u_final.data(), b.u_final.data(),
                           a.u_final.size() * sizeof(double)),
@@ -480,6 +480,34 @@ TEST(LtsParallel, RayleighDampingRejected) {
   const par::Partition part = par::partition_sfc(mesh, 2);
   par::ParallelSetup setup(mesh, part, oo, so);
   lts::LtsOptions on;
-  on.enabled = true;
-  EXPECT_THROW(setup.run_lts(so.t_end, {}, {}, on), std::invalid_argument);
+  on.max_rate = 32;
+  EXPECT_THROW(setup.run(so.t_end, {}, {}, {}, {}, on), std::invalid_argument);
+}
+
+TEST(LtsParallel, FaultToleranceWithMultiRateRejected) {
+  const auto mesh = uniform_mesh();
+  solver::OperatorOptions oo;
+  solver::SolverOptions so;
+  so.t_end = 0.1;
+  so.cfl_fraction = 0.4;
+  const par::Partition part = par::partition_sfc(mesh, 2);
+  par::ParallelSetup setup(mesh, part, oo, so);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "quake_lts_ft_rejected";
+  std::filesystem::remove_all(dir);
+  par::FaultToleranceOptions ft;
+  ft.checkpoint_dir = dir.string();
+  ft.max_revives = 1;
+
+  lts::LtsOptions multi;
+  multi.max_rate = 32;
+  EXPECT_THROW(setup.run(so.t_end, {}, {}, ft, {}, multi),
+               std::invalid_argument);
+
+  lts::LtsOptions global;
+  global.max_rate = 1;
+  const par::ParallelResult pr = setup.run(so.t_end, {}, {}, ft, {}, global);
+  EXPECT_FALSE(pr.cancelled);
+  EXPECT_EQ(pr.steps_completed, setup.n_steps(so.t_end));
+  std::filesystem::remove_all(dir);
 }

@@ -627,7 +627,7 @@ TEST(MultiLane, CancelAndDeadlineRaceAcrossLanes) {
 // Requests with a deadline, a retry budget, or their own t_end each run as
 // one solo solve in FIFO pickup order: a generous deadline and an unused
 // retry budget leave a clean request completing on its first attempt.
-TEST(ScenarioBatching, NonBatchableRequestsRunSolo) {
+TEST(SimulationService, MixedRequestsRunSoloInFifoOrder) {
   const Fixture f;
   svc::ServiceOptions opt;
   opt.start_paused = true;
