@@ -66,6 +66,13 @@ class InversionProblem {
                                   const History& u, const History& nu,
                                   std::span<double> ge) const;
 
+  // f -= K'[dmu] u^k + C'[dmu] (u^{k+1} - u^{k-1}) / (2 dt): the stiffness
+  // and absorbing-boundary part of the step-k forcing of the incremental
+  // forward solve in material direction dmu about the forward history u.
+  void subtract_material_tangent(const wave2d::ShModel& model,
+                                 const History& u, std::span<const double> dmu,
+                                 int k, std::span<double> f) const;
+
   // Records of the incremental forward solve in material direction dmu
   // (the J*dmu needed by the Gauss-Newton product).
   Records incremental_forward_material(const wave2d::ShModel& model,

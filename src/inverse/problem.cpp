@@ -2,6 +2,7 @@
 
 #include "quake/inverse/checkpoint.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -99,34 +100,38 @@ void InversionProblem::assemble_material_gradient(
   }
 }
 
+void InversionProblem::subtract_material_tangent(
+    const wave2d::ShModel& model, const History& u,
+    std::span<const double> dmu, int k, std::span<double> f) const {
+  const std::size_t n = static_cast<std::size_t>(setup_.grid.n_nodes());
+  std::vector<double> tmp(n, 0.0);
+  if (const auto* uk = state_at(u, k)) {
+    model.apply_k_delta(dmu, *uk, tmp);
+    for (std::size_t i = 0; i < n; ++i) f[i] -= tmp[i];
+  }
+  const auto* up = state_at(u, k + 1);
+  const auto* um = state_at(u, k - 1);
+  if (up != nullptr || um != nullptr) {
+    std::vector<double> diff(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      diff[i] = (up ? (*up)[i] : 0.0) - (um ? (*um)[i] : 0.0);
+    }
+    std::fill(tmp.begin(), tmp.end(), 0.0);
+    model.apply_c_delta(dmu, diff, tmp);
+    const double s = 1.0 / (2.0 * setup_.dt);
+    for (std::size_t i = 0; i < n; ++i) f[i] -= s * tmp[i];
+  }
+}
+
 Records InversionProblem::incremental_forward_material(
     const wave2d::ShModel& model, const wave2d::SourceParams2d& p,
     const History& u, std::span<const double> dmu) const {
   MarchOptions mo{setup_.dt, setup_.nt};
-  const double dt = setup_.dt;
-  const std::size_t n = static_cast<std::size_t>(setup_.grid.n_nodes());
-  std::vector<double> diff(n);
   MarchResult res = time_march(
       model, mo,
       [&](int k, double t, std::span<double> f) {
         src_.add_forces_delta_mu(model, p, dmu, t, f);
-        if (const auto* uk = state_at(u, k)) {
-          // f -= K'[dmu] u^k.
-          std::vector<double> tmp(n, 0.0);
-          model.apply_k_delta(dmu, *uk, tmp);
-          for (std::size_t i = 0; i < n; ++i) f[i] -= tmp[i];
-        }
-        const auto* up = state_at(u, k + 1);
-        const auto* um = state_at(u, k - 1);
-        if (up != nullptr || um != nullptr) {
-          for (std::size_t i = 0; i < n; ++i) {
-            diff[i] = (up ? (*up)[i] : 0.0) - (um ? (*um)[i] : 0.0);
-          }
-          std::vector<double> tmp(n, 0.0);
-          model.apply_c_delta(dmu, diff, tmp);
-          const double s = 1.0 / (2.0 * dt);
-          for (std::size_t i = 0; i < n; ++i) f[i] -= s * tmp[i];
-        }
+        subtract_material_tangent(model, u, dmu, k, f);
       },
       setup_.receiver_nodes, /*store_history=*/false);
   return std::move(res.records);

@@ -19,9 +19,17 @@ void vlog(LogLevel level, const char* fmt, ...)
 #endif
     ;
 
-#define QUAKE_LOG_INFO(...) ::quake::util::vlog(::quake::util::LogLevel::kInfo, __VA_ARGS__)
-#define QUAKE_LOG_WARN(...) ::quake::util::vlog(::quake::util::LogLevel::kWarn, __VA_ARGS__)
-#define QUAKE_LOG_ERROR(...) ::quake::util::vlog(::quake::util::LogLevel::kError, __VA_ARGS__)
-#define QUAKE_LOG_DEBUG(...) ::quake::util::vlog(::quake::util::LogLevel::kDebug, __VA_ARGS__)
+inline bool log_enabled(LogLevel level) noexcept {
+  return static_cast<int>(level) <= static_cast<int>(log_level());
+}
+
+// The arguments are evaluated only when the level is enabled, so a debug
+// line may compute what it prints (even a solve) at no cost when quiet.
+#define QUAKE_LOG_AT(level, ...) \
+  (::quake::util::log_enabled(level) ? ::quake::util::vlog(level, __VA_ARGS__) : void())
+#define QUAKE_LOG_INFO(...) QUAKE_LOG_AT(::quake::util::LogLevel::kInfo, __VA_ARGS__)
+#define QUAKE_LOG_WARN(...) QUAKE_LOG_AT(::quake::util::LogLevel::kWarn, __VA_ARGS__)
+#define QUAKE_LOG_ERROR(...) QUAKE_LOG_AT(::quake::util::LogLevel::kError, __VA_ARGS__)
+#define QUAKE_LOG_DEBUG(...) QUAKE_LOG_AT(::quake::util::LogLevel::kDebug, __VA_ARGS__)
 
 }  // namespace quake::util

@@ -21,7 +21,7 @@ LogLevel& log_level() noexcept {
 }
 
 void vlog(LogLevel level, const char* fmt, ...) {
-  if (static_cast<int>(level) > static_cast<int>(log_level())) return;
+  if (!log_enabled(level)) return;
   static const char* tags[] = {"ERROR", "WARN ", "INFO ", "DEBUG"};
   std::fprintf(stderr, "[quake %s] ", tags[static_cast<int>(level)]);
   std::va_list args;

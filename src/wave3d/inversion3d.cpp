@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numbers>
 #include <stdexcept>
 
 #include "quake/obs/obs.hpp"
-#include "quake/opt/lbfgs.hpp"
-#include "quake/opt/linesearch.hpp"
+#include "quake/opt/gauss_newton.hpp"
 #include "quake/util/log.hpp"
 #include "quake/util/stats.hpp"
 
@@ -234,35 +234,18 @@ void graph_laplacian(int gx, int gy, int gz, std::span<const double> v,
 Inversion3dReport invert_material3d(const ScalarInversion3d& prob,
                                     const Inversion3dOptions& opt,
                                     std::span<const double> mu_target) {
+  if (!(opt.initial_mu > 0.0)) {
+    throw std::invalid_argument("invert_material3d: initial_mu must be > 0");
+  }
   const auto& setup = prob.setup();
   const std::size_t ne = static_cast<std::size_t>(setup.grid.n_elems());
   const MaterialGrid3d mg(setup.grid, opt.gx, opt.gy, opt.gz);
   const std::size_t np = mg.n_params();
 
-  Inversion3dReport report;
-  report.n_params = np;
-  double beta_h1 = opt.beta_h1;  // possibly rescaled at the first iteration
-  // Morales-Nocedal refresh: precondition with the previous CG's pairs.
-  opt::LbfgsOperator lbfgs_prev(np, 30), lbfgs_next(np, 30);
+  double beta_h1 = 0.0;  // calibrated at the first linearization
+  bool calibrated = false;
   std::vector<double> m(np, opt.initial_mu);
-  if (!opt.initial_mu_field.empty()) {
-    // Sample the coarser stage's element field at the material-grid nodes.
-    const auto& g = setup.grid;
-    for (int k = 0; k <= opt.gz; ++k) {
-      for (int j = 0; j <= opt.gy; ++j) {
-        for (int i = 0; i <= opt.gx; ++i) {
-          const int ei = std::min(g.nx - 1, i * g.nx / std::max(1, opt.gx));
-          const int ej = std::min(g.ny - 1, j * g.ny / std::max(1, opt.gy));
-          const int ek = std::min(g.nz - 1, k * g.nz / std::max(1, opt.gz));
-          m[static_cast<std::size_t>(
-              (k * (opt.gy + 1) + j) * (opt.gx + 1) + i)] =
-              opt.initial_mu_field[static_cast<std::size_t>(
-                  g.elem(ei, ej, ek))];
-        }
-      }
-    }
-  }
-  std::vector<double> mu(ne), ge(ne), g(np), d(np);
+  std::vector<double> mu(ne);
 
   auto h1_value = [&](std::span<const double> mm) {
     if (!(beta_h1 > 0.0)) return 0.0;
@@ -270,67 +253,30 @@ Inversion3dReport invert_material3d(const ScalarInversion3d& prob,
     graph_laplacian(opt.gx, opt.gy, opt.gz, mm, lm);
     return 0.5 * beta_h1 * util::dot(mm, lm);
   };
-  auto objective = [&](std::span<const double> mm) {
-    std::vector<double> mu_try(ne);
-    mg.apply(mm, mu_try);
-    const ScalarModel3d model(setup.grid, std::move(mu_try), setup.rho);
-    return prob.forward(model, false).misfit + h1_value(mm);
+  auto projected = [&](std::span<const double> d, double alpha) {
+    std::vector<double> trial(m);
+    for (std::size_t i = 0; i < np; ++i) {
+      trial[i] = std::max(opt.mu_min, trial[i] + alpha * d[i]);
+    }
+    return trial;
   };
 
-  double g0 = -1.0;
-  for (int newton = 0; newton < opt.max_newton; ++newton) {
-    QUAKE_OBS_SCOPE("gn/newton");
-    obs::counter_add("gn/newton_total", 1);
+  opt::GnProblem gn;
+  gn.linearize = [&] {
     mg.apply(m, mu);
-    const ScalarModel3d model(setup.grid, std::vector<double>(mu), setup.rho);
+    const auto model =
+        std::make_shared<const ScalarModel3d>(setup.grid, mu, setup.rho);
     const auto fwd = [&] {
       QUAKE_OBS_SCOPE("forward");
-      return prob.forward(model, /*history=*/true);
+      return std::make_shared<const ScalarInversion3d::ForwardOut>(
+          prob.forward(*model, /*history=*/true));
     }();
-    if (newton == 0) report.misfit_initial = fwd.misfit;
-    report.misfit_final = fwd.misfit;
-    obs::series_append("gn/misfit", fwd.misfit);
-
-    {
-      QUAKE_OBS_SCOPE("adjoint");
-      const auto nu = prob.adjoint(model, fwd.residuals);
-      std::fill(ge.begin(), ge.end(), 0.0);
-      prob.assemble_gradient(model, fwd.march.history, nu, ge);
-    }
-    std::fill(g.begin(), g.end(), 0.0);
-    mg.apply_transpose(ge, g);
-    if (opt.beta_h1_rel > 0.0 && newton == 0) {
-      // Calibrate the smoothness weight against the data-term curvature on
-      // an alternating-sign probe direction.
-      std::vector<double> v(np), hv(np, 0.0), lv(np, 0.0), dmu(ne), he(ne, 0.0);
-      for (std::size_t i = 0; i < np; ++i) v[i] = (i % 2 == 0) ? 1.0 : -1.0;
-      mg.apply(v, dmu);
-      prob.gauss_newton(model, fwd.march.history, dmu, he);
-      mg.apply_transpose(he, hv);
-      graph_laplacian(opt.gx, opt.gy, opt.gz, v, lv);
-      const double hn = util::norm_l2(hv), ln = util::norm_l2(lv);
-      beta_h1 = ln > 0.0 ? opt.beta_h1_rel * hn / ln : 0.0;
-      QUAKE_LOG_DEBUG("inv3d: calibrated beta_h1 = %.3e", beta_h1);
-    }
-    if (beta_h1 > 0.0) {
-      std::vector<double> lm(np, 0.0);
-      graph_laplacian(opt.gx, opt.gy, opt.gz, m, lm);
-      for (std::size_t i = 0; i < np; ++i) g[i] += beta_h1 * lm[i];
-    }
-
-    const double gnorm = util::norm_l2(g);
-    obs::series_append("gn/grad_norm", gnorm);
-    if (g0 < 0.0) g0 = gnorm;
-    report.grad_reduction = g0 > 0.0 ? gnorm / g0 : 1.0;
-    QUAKE_LOG_DEBUG("inv3d newton %d: misfit=%.4e |g|=%.3e", newton,
-                    fwd.misfit, gnorm);
-    if (gnorm <= opt.grad_tol * g0) break;
-
-    opt::LinOp hvp = [&](std::span<const double> v, std::span<double> hv) {
-      QUAKE_OBS_SCOPE("hessvec");
+    opt::GnLinearization lin;
+    lin.hessian = [&, model, fwd](std::span<const double> v,
+                                  std::span<double> hv) {
       std::vector<double> dmu(ne), he(ne, 0.0);
       mg.apply(v, dmu);
-      prob.gauss_newton(model, fwd.march.history, dmu, he);
+      prob.gauss_newton(*model, fwd->march.history, dmu, he);
       mg.apply_transpose(he, hv);
       if (beta_h1 > 0.0) {
         std::vector<double> lv(np, 0.0);
@@ -338,59 +284,57 @@ Inversion3dReport invert_material3d(const ScalarInversion3d& prob,
         for (std::size_t i = 0; i < np; ++i) hv[i] += beta_h1 * lv[i];
       }
     };
-
-    std::vector<double> b(np);
-    for (std::size_t i = 0; i < np; ++i) b[i] = -g[i];
-    std::fill(d.begin(), d.end(), 0.0);
-    opt::LinOp precond = [&](std::span<const double> v,
-                             std::span<double> out) {
-      lbfgs_prev.apply(v, out);
-    };
-    lbfgs_next.clear();
-    opt::PairCollector collect = [&](std::span<const double> s,
-                                     std::span<const double> y) {
-      lbfgs_next.add_pair(s, y);
-    };
-    const auto cg = [&] {
-      QUAKE_OBS_SCOPE("cg");
-      return opt::conjugate_gradient(hvp, b, d, opt.cg, &precond, &collect);
-    }();
-    report.cg_iters += cg.iterations;
-    obs::series_append("gn/cg_iters", static_cast<double>(cg.iterations));
-    obs::counter_add("gn/cg_total", cg.iterations);
-    if (util::norm_l2(d) == 0.0) break;
-
-    double dphi0 = util::dot(g, d);
-    if (dphi0 >= 0.0) {
-      for (std::size_t i = 0; i < np; ++i) d[i] = -g[i];
-      dphi0 = -gnorm * gnorm;
+    if (opt.beta_h1_rel > 0.0 && !calibrated) {
+      // Calibrate the smoothness weight against the data-term curvature
+      // (beta_h1 is still 0) on an alternating-sign probe direction.
+      std::vector<double> v(np), hv(np, 0.0), lv(np, 0.0);
+      for (std::size_t i = 0; i < np; ++i) v[i] = (i % 2 == 0) ? 1.0 : -1.0;
+      lin.hessian(v, hv);
+      graph_laplacian(opt.gx, opt.gy, opt.gz, v, lv);
+      const double hn = util::norm_l2(hv), ln = util::norm_l2(lv);
+      beta_h1 = ln > 0.0 ? opt.beta_h1_rel * hn / ln : 0.0;
+      QUAKE_LOG_DEBUG("inv3d: calibrated beta_h1 = %.3e", beta_h1);
     }
-    auto projected = [&](double alpha) {
-      std::vector<double> trial(m);
-      for (std::size_t i = 0; i < np; ++i) {
-        trial[i] = std::max(opt.mu_min, trial[i] + alpha * d[i]);
-      }
-      return trial;
-    };
-    const double j0 = fwd.misfit + h1_value(m);
-    const auto ls = [&] {
-      QUAKE_OBS_SCOPE("linesearch");
-      return opt::armijo_backtracking(
-          [&](double a) { return objective(projected(a)); }, j0, dphi0,
-          opt::ArmijoOptions{});
-    }();
-    obs::series_append("gn/ls_evals", static_cast<double>(ls.evaluations));
-    ++report.newton_iters;
-    std::swap(lbfgs_prev, lbfgs_next);
-    QUAKE_LOG_DEBUG("inv3d   cg=%d (res %.2e->%.2e%s) |d|=%.3e dphi0=%.3e alpha=%.3e",
-                    cg.iterations, cg.initial_residual, cg.final_residual,
-                    cg.hit_negative_curvature ? ", NEGCURV" : "",
-                    util::norm_l2(d), dphi0, ls.alpha);
-    if (!ls.success) break;
-    m = projected(ls.alpha);
-  }
+    calibrated = true;
 
-  report.mu.resize(ne);
+    std::vector<double> ge(ne, 0.0);
+    {
+      QUAKE_OBS_SCOPE("adjoint");
+      const auto nu = prob.adjoint(*model, fwd->residuals);
+      prob.assemble_gradient(*model, fwd->march.history, nu, ge);
+    }
+    lin.gradient.assign(np, 0.0);
+    mg.apply_transpose(ge, lin.gradient);
+    if (beta_h1 > 0.0) {
+      std::vector<double> lm(np, 0.0);
+      graph_laplacian(opt.gx, opt.gy, opt.gz, m, lm);
+      for (std::size_t i = 0; i < np; ++i) lin.gradient[i] += beta_h1 * lm[i];
+    }
+    lin.misfit = fwd->misfit;
+    lin.objective = fwd->misfit + h1_value(m);
+    return lin;
+  };
+  gn.trial = [&](std::span<const double> d, double alpha) {
+    const std::vector<double> mm = projected(d, alpha);
+    std::vector<double> mu_try(ne);
+    mg.apply(mm, mu_try);
+    const ScalarModel3d model(setup.grid, std::move(mu_try), setup.rho);
+    return prob.forward(model, false).misfit + h1_value(mm);
+  };
+  gn.accept = [&](auto d, double alpha) { m = projected(d, alpha); };
+
+  const opt::GnReport gr = opt::gauss_newton(
+      gn, {.max_newton = opt.max_newton,
+           .cg = opt.cg,
+           .grad_tol = opt.grad_tol,
+           .lbfgs_pairs = 30});
+  Inversion3dReport report{.n_params = np,
+                           .newton_iters = gr.newton_iters,
+                           .cg_iters = gr.cg_iters,
+                           .misfit_initial = gr.misfit_initial,
+                           .misfit_final = gr.misfit_final,
+                           .grad_reduction = gr.grad_reduction,
+                           .mu = std::vector<double>(ne)};
   mg.apply(m, report.mu);
   if (!mu_target.empty()) {
     report.model_error = util::rel_l2(report.mu, mu_target);

@@ -1,12 +1,16 @@
-// Tests for the optimization kernels: CG, L-BFGS, Frankel two-step, Armijo.
+// Tests for the optimization kernels: CG, L-BFGS, Frankel two-step, Armijo,
+// and the Gauss-Newton-CG driver built from them.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "quake/opt/cg.hpp"
 #include "quake/opt/frankel.hpp"
+#include "quake/opt/gauss_newton.hpp"
 #include "quake/opt/lbfgs.hpp"
 #include "quake/opt/linesearch.hpp"
 #include "quake/util/rng.hpp"
@@ -207,6 +211,242 @@ TEST(Armijo, RejectsAscentDirection) {
   EXPECT_THROW(armijo_backtracking([](double) { return 0.0; }, 0.0, 1.0,
                                    ArmijoOptions{}),
                std::invalid_argument);
+}
+
+// Bound-constrained nonlinear least squares in Rosenbrock form:
+// J(x) = 1/2 |r(x)|^2, r = (x0 - 1, 10 (x1 - x0^2)), x >= lo by projection.
+// The Gauss-Newton operator is J_r^T J_r with J_r = [[1, 0], [-20 x0, 10]].
+struct Rosenbrock {
+  explicit Rosenbrock(std::array<double, 2> x0) : x(x0) {}
+
+  std::array<double, 2> x;
+  std::array<double, 2> lo{-std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  std::vector<std::array<double, 2>> accepted;
+
+  static double value(const std::array<double, 2>& y) {
+    const double r0 = y[0] - 1.0, r1 = 10.0 * (y[1] - y[0] * y[0]);
+    return 0.5 * (r0 * r0 + r1 * r1);
+  }
+  std::array<double, 2> projected(std::span<const double> d,
+                                  double alpha) const {
+    return {std::max(lo[0], x[0] + alpha * d[0]),
+            std::max(lo[1], x[1] + alpha * d[1])};
+  }
+  GnProblem problem() {
+    GnProblem p;
+    p.linearize = [this] {
+      const double r0 = x[0] - 1.0, r1 = 10.0 * (x[1] - x[0] * x[0]);
+      const double j10 = -20.0 * x[0], j11 = 10.0;
+      GnLinearization lin;
+      lin.objective = lin.misfit = value(x);
+      lin.gradient = {r0 + j10 * r1, j11 * r1};
+      lin.hessian = [j10, j11](std::span<const double> v,
+                               std::span<double> hv) {
+        const double a = v[0], b = j10 * v[0] + j11 * v[1];
+        hv[0] += a + j10 * b;
+        hv[1] += j11 * b;
+      };
+      return lin;
+    };
+    p.trial = [this](std::span<const double> d, double alpha) {
+      return value(projected(d, alpha));
+    };
+    p.accept = [this](std::span<const double> d, double alpha) {
+      x = projected(d, alpha);
+      accepted.push_back(x);
+    };
+    return p;
+  }
+};
+
+TEST(GaussNewton, ConvergesToGradTolOnRosenbrock) {
+  // Unpreconditioned, and with the L-BFGS preconditioner seeded by Frankel
+  // sweeps: both reach the minimizer (1, 1) within the gradient tolerance.
+  for (const std::size_t pairs : {std::size_t{0}, std::size_t{5}}) {
+    Rosenbrock rb({-1.2, 1.0});
+    GnOptions o;
+    o.max_newton = 50;
+    o.cg = {10, 1e-10};
+    o.grad_tol = 1e-10;
+    o.lbfgs_pairs = pairs;
+    o.frankel_sweeps = pairs > 0 ? 2 : 0;
+    const GnReport rep = gauss_newton(rb.problem(), o);
+    EXPECT_LE(rep.grad_reduction, 1e-10) << "pairs " << pairs;
+    EXPECT_LT(rep.newton_iters, o.max_newton);
+    EXPECT_NEAR(rb.x[0], 1.0, 1e-8);
+    EXPECT_NEAR(rb.x[1], 1.0, 1e-8);
+    EXPECT_GT(rep.misfit_initial, 1.0);
+    EXPECT_LT(rep.misfit_final, 1e-16);
+    EXPECT_EQ(rep.newton_iters, static_cast<int>(rb.accepted.size()));
+    EXPECT_GE(rep.cg_iters, rep.newton_iters);
+  }
+}
+
+TEST(GaussNewton, ProjectionKeepsBoundWhereItIsActive) {
+  // x1 >= 2 excludes the unconstrained minimizer (1, 1). Every accepted
+  // iterate stays feasible. Plain projection stalls once the Gauss-Newton
+  // step points straight into the bound (its x0 part vanishes at x0 = 1),
+  // and the driver exits cleanly; with the active-set reduction the
+  // steepest-descent fallback moves along the bound to the minimizer of
+  // (x0 - 1)^2 + 100 (2 - x0^2)^2.
+  for (const bool active_set : {false, true}) {
+    Rosenbrock rb({1.0, 3.0});
+    rb.lo[1] = 2.0;
+    GnProblem p = rb.problem();
+    if (active_set) {
+      p.restrict_direction = [&rb](std::span<double> d) {
+        for (std::size_t i = 0; i < 2; ++i) {
+          if (rb.x[i] <= rb.lo[i] && d[i] < 0.0) d[i] = 0.0;
+        }
+      };
+    }
+    GnOptions o;
+    o.max_newton = 60;
+    o.cg = {10, 1e-10};
+    o.grad_tol = 1e-12;
+    const GnReport rep = gauss_newton(p, o);
+    ASSERT_FALSE(rb.accepted.empty());
+    for (const auto& y : rb.accepted) EXPECT_GE(y[1], 2.0);
+    EXPECT_EQ(rb.x[1], 2.0);
+    EXPECT_LT(rep.misfit_final, rep.misfit_initial);
+    // The bound keeps |g| > 0: the exit is a failed line search, well
+    // inside the iteration budget.
+    EXPECT_LT(rep.newton_iters, o.max_newton);
+    if (active_set) {
+      const double x0 = rb.x[0];
+      EXPECT_NEAR(2.0 * (x0 - 1.0) - 400.0 * x0 * (2.0 - x0 * x0), 0.0, 1e-5);
+    } else {
+      EXPECT_NEAR(rb.x[0], 1.0, 1e-9);
+    }
+  }
+}
+
+// J(x) = 1/2 |x - c|^2, linearized with a caller-chosen gradient sign and
+// Gauss-Newton operator (a stand-in for an inconsistent model of the
+// objective).
+struct Quadratic {
+  std::vector<double> x, c;
+  LinOp hessian;
+  double gradient_sign = 1.0;
+  int trials = 0;
+  std::vector<std::vector<double>> directions;  // of accepted steps
+
+  double value(std::span<const double> y) const {
+    double j = 0.0;
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      j += 0.5 * (y[i] - c[i]) * (y[i] - c[i]);
+    }
+    return j;
+  }
+  std::vector<double> step(std::span<const double> d, double alpha) const {
+    std::vector<double> y(x);
+    for (std::size_t i = 0; i < y.size(); ++i) y[i] += alpha * d[i];
+    return y;
+  }
+  GnProblem problem() {
+    GnProblem p;
+    p.linearize = [this] {
+      GnLinearization lin;
+      lin.objective = lin.misfit = value(x);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        lin.gradient.push_back(gradient_sign * (x[i] - c[i]));
+      }
+      lin.hessian = hessian;
+      return lin;
+    };
+    p.trial = [this](std::span<const double> d, double alpha) {
+      ++trials;
+      return value(step(d, alpha));
+    };
+    p.accept = [this](std::span<const double> d, double alpha) {
+      x = step(d, alpha);
+      directions.emplace_back(d.begin(), d.end());
+    };
+    return p;
+  }
+};
+
+TEST(GaussNewton, SteepestDescentFallbackOnNonDescentCgStep) {
+  // With a symmetric operator and preconditioner, a CG step that takes any
+  // iteration is a descent direction (g.d = -sum rz_k^2 / pAp_k), so the
+  // fallback is forced with a non-symmetric operator: three CG iterations
+  // on it from g = (-1, -1, -1) return d with g.d > 0. The driver must
+  // replace d by -g, which reaches the minimizer c in one unit step.
+  Quadratic q;
+  q.x = {0.0, 0.0, 0.0};
+  q.c = {1.0, 1.0, 1.0};
+  q.hessian = [](std::span<const double> v, std::span<double> hv) {
+    hv[0] += 2.0 * v[0] - 2.0 * v[1] + v[2];
+    hv[1] += -2.0 * v[0] + 3.0 * v[1] + 3.0 * v[2];
+    hv[2] += v[1] + v[2];
+  };
+  std::vector<double> probe(3, 0.0), b = {1.0, 1.0, 1.0};
+  ASSERT_FALSE(conjugate_gradient(q.hessian, b, probe, {3, 1e-14})
+                   .hit_negative_curvature);
+  ASSERT_LT(quake::util::dot(b, probe), 0.0);  // g.d > 0 for g = -b
+
+  GnOptions o;
+  o.cg = {3, 1e-14};
+  const GnReport rep = gauss_newton(q.problem(), o);
+  ASSERT_EQ(q.directions.size(), 1u);
+  EXPECT_EQ(q.directions[0], (std::vector<double>{1.0, 1.0, 1.0}));
+  EXPECT_EQ(q.x, q.c);
+  EXPECT_EQ(rep.grad_reduction, 0.0);
+}
+
+TEST(GaussNewton, ActiveSetStopsAtBoundStationaryPoint) {
+  // x0 >= 0 is active at x = 0 and the gradient (1, 0) pushes into it. The
+  // CG step (-5.26, 4.74) loses its descent once its x0 part is removed,
+  // and so does the steepest-descent fallback: no step is taken.
+  Quadratic q;
+  q.x = {0.0, 0.0};
+  const double det = 1.0 - 0.81;
+  q.c = {-1.0 / det, 0.9 / det};  // H (x - c) = (1, 0) at x = 0
+  q.hessian = [](std::span<const double> v, std::span<double> hv) {
+    hv[0] += v[0] + 0.9 * v[1];
+    hv[1] += 0.9 * v[0] + v[1];
+  };
+  GnProblem p = q.problem();
+  p.linearize = [&q] {
+    GnLinearization lin;
+    lin.objective = lin.misfit = 0.0;
+    lin.gradient = {q.x[0] - q.c[0] + 0.9 * (q.x[1] - q.c[1]),
+                    0.9 * (q.x[0] - q.c[0]) + q.x[1] - q.c[1]};
+    lin.hessian = q.hessian;
+    return lin;
+  };
+  int restricted = 0;
+  p.restrict_direction = [&](std::span<double> d) {
+    ++restricted;
+    if (q.x[0] <= 0.0 && d[0] < 0.0) d[0] = 0.0;
+  };
+  GnOptions o;
+  o.cg = {10, 1e-12};
+  const GnReport rep = gauss_newton(p, o);
+  EXPECT_EQ(restricted, 2);  // the CG step, then the fallback
+  EXPECT_EQ(rep.newton_iters, 0);
+  EXPECT_TRUE(q.directions.empty());
+}
+
+TEST(GaussNewton, FailedLineSearchExitsWithoutStep) {
+  // A gradient of the wrong sign makes every trial step go uphill: Armijo
+  // backtracking exhausts its trials and the driver stops cleanly, leaving
+  // the iterate untouched.
+  Quadratic q;
+  q.x = {0.5, -0.5};
+  q.c = {1.0, 1.0};
+  q.gradient_sign = -1.0;
+  q.hessian = [](std::span<const double> v, std::span<double> hv) {
+    hv[0] += v[0];
+    hv[1] += v[1];
+  };
+  const GnReport rep = gauss_newton(q.problem(), GnOptions{});
+  EXPECT_GE(q.trials, ArmijoOptions{}.max_trials);
+  EXPECT_EQ(rep.newton_iters, 1);
+  EXPECT_EQ(rep.cg_iters, 1);
+  EXPECT_TRUE(q.directions.empty());
+  EXPECT_EQ(q.x, (std::vector<double>{0.5, -0.5}));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "quake/util/delta_codec.hpp"
 #include "quake/util/filter.hpp"
 #include "quake/util/io.hpp"
+#include "quake/util/log.hpp"
 #include "quake/util/rng.hpp"
 #include "quake/util/stats.hpp"
 #include "quake/util/timer.hpp"
@@ -90,6 +91,22 @@ TEST(Stats, SizeMismatchThrows) {
   std::vector<double> y = {1.0, 2.0};
   EXPECT_THROW(diff_l2(x, y), std::invalid_argument);
   EXPECT_THROW(dot(x, y), std::invalid_argument);
+}
+
+TEST(Log, DisabledLevelDoesNotEvaluateArguments) {
+  // A debug line may compute what it prints (a solve, say); at the default
+  // warn level that computation must not run.
+  LogLevel& level = log_level();
+  const LogLevel saved = level;
+  level = LogLevel::kWarn;
+  int evaluations = 0;
+  auto probe = [&evaluations] { return ++evaluations; };
+  QUAKE_LOG_DEBUG("probe %d", probe());
+  QUAKE_LOG_INFO("probe %d", probe());
+  EXPECT_EQ(evaluations, 0);
+  QUAKE_LOG_WARN("probe %d", probe());
+  EXPECT_EQ(evaluations, 1);
+  level = saved;
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "quake/util/rng.hpp"
@@ -252,6 +254,18 @@ TEST(Inversion3d, RecoversSmoothAnomaly) {
   EXPECT_LT(rep.misfit_final, 0.01 * rep.misfit_initial);
   EXPECT_LT(rep.model_error, 0.05);
   EXPECT_GT(rep.cg_iters, 0);
+}
+
+TEST(Inversion3d, RejectsNonPositiveInitialMu) {
+  // The default initial_mu (0) is not a valid starting model: reject it
+  // before any solve instead of failing inside the first forward march.
+  const ScalarInversion3d prob(make_setup(4, 10));
+  try {
+    (void)invert_material3d(prob, Inversion3dOptions{});
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("initial_mu"), std::string::npos);
+  }
 }
 
 }  // namespace
