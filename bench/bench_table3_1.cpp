@@ -19,11 +19,11 @@
 #include <cstring>
 #include <vector>
 
+#include "quake/inverse/inversion3d.hpp"
 #include "quake/inverse/material_inversion.hpp"
 #include "quake/obs/obs.hpp"
 #include "quake/obs/sink.hpp"
 #include "quake/vel/model.hpp"
-#include "quake/wave3d/inversion3d.hpp"
 
 namespace {
 
@@ -168,6 +168,7 @@ int main(int argc, char** argv) {
 
   // ---- the paper's exact setting: scalar 3D wave equation ----------------
   {
+    using namespace quake::inverse;
     using namespace quake::wave3d;
     const int n = 12;
     Setup3d s;

@@ -1,40 +1,8 @@
 #include "quake/inverse/checkpoint.hpp"
 
 #include <cmath>
-#include <stdexcept>
-
-#include "quake/wave2d/march.hpp"
 
 namespace quake::inverse {
-
-void accumulate_material_step(const wave2d::ShModel& model,
-                              const wave2d::FaultSource2d& src,
-                              const wave2d::SourceParams2d& p, int k, double dt,
-                              std::span<const double> lambda,
-                              const std::vector<double>* u_k,
-                              const std::vector<double>* u_kp1,
-                              const std::vector<double>* u_km1,
-                              std::span<double> ge) {
-  const std::size_t n = lambda.size();
-  const double dt2 = dt * dt;
-  std::vector<double> scaled(n), diff(n);
-  // dt^2 * lambda^T K'_e u^k.
-  if (u_k != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) scaled[i] = dt2 * lambda[i];
-    model.accumulate_k_form(scaled, *u_k, ge);
-  }
-  // (dt/2) * lambda^T C'_e (u^{k+1} - u^{k-1}).
-  if (u_kp1 != nullptr || u_km1 != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      diff[i] = (u_kp1 ? (*u_kp1)[i] : 0.0) - (u_km1 ? (*u_km1)[i] : 0.0);
-    }
-    for (std::size_t i = 0; i < n; ++i) scaled[i] = 0.5 * dt * lambda[i];
-    model.accumulate_c_form(scaled, diff, ge);
-  }
-  // -dt^2 * lambda^T df^k/dmu_e.
-  for (std::size_t i = 0; i < n; ++i) scaled[i] = -dt2 * lambda[i];
-  src.accumulate_material_form(model, p, k * dt, scaled, ge);
-}
 
 CheckpointStats checkpointed_material_gradient(
     const InversionProblem& prob, const wave2d::ShModel& model,
@@ -46,18 +14,18 @@ CheckpointStats checkpointed_material_gradient(
   if (stride <= 0) {
     stride = std::max(1, static_cast<int>(std::lround(std::sqrt(nt))));
   }
-  const wave2d::FaultSource2d& src = prob.source_op();
+  const FaultForcing src{prob.source_op(), p};
   CheckpointStats stats;
 
-  const wave2d::RhsFn fwd_rhs = [&](int, double t, std::span<double> f) {
-    src.add_forces(model, p, t, f);
+  const RhsFn fwd_rhs = [&](int, double t, std::span<double> f) {
+    src.add_forces(model, t, f);
   };
 
   // Forward sweep: store (u^c, u^{c-1}) at every segment start.
   std::vector<std::pair<std::vector<double>, std::vector<double>>> cps;
   cps.reserve(static_cast<std::size_t>(nt / stride + 1));
   {
-    wave2d::ShStepper fwd(model, dt);
+    Stepper<wave2d::ShModel> fwd(model, dt);
     for (int k = 0; k < nt; ++k) {
       if (k % stride == 0) {
         cps.emplace_back(fwd.u(), fwd.u_prev());
@@ -68,17 +36,12 @@ CheckpointStats checkpointed_material_gradient(
   }
 
   // Adjoint sweep with segment recomputation.
-  const double inv_dt = 1.0 / dt;
-  const wave2d::RhsFn adj_rhs = [&](int tau, double, std::span<double> f) {
-    const int obs = nt - tau - 1;
-    for (std::size_t r = 0; r < setup.receiver_nodes.size(); ++r) {
-      f[static_cast<std::size_t>(setup.receiver_nodes[r])] -=
-          residuals[r][static_cast<std::size_t>(obs)] * inv_dt;
-    }
+  const RhsFn adj_rhs = [&](int tau, double, std::span<double> f) {
+    add_adjoint_forcing(setup, residuals, tau, f);
   };
 
-  wave2d::ShStepper adj(model, dt);
-  wave2d::ShStepper recompute(model, dt);
+  Stepper<wave2d::ShModel> adj(model, dt);
+  Stepper<wave2d::ShModel> recompute(model, dt);
   std::vector<std::vector<double>> seg;  // seg[j] = u^{c+j}
   std::vector<double> u_cm1;             // u^{c-1}
   int c = -1;
@@ -111,8 +74,7 @@ CheckpointStats checkpointed_material_gradient(
     if (k >= 1) {
       u_km1 = (k - 1 >= c) ? &seg[static_cast<std::size_t>(k - 1 - c)] : &u_cm1;
     }
-    accumulate_material_step(model, src, p, k, dt, adj.u(), u_k, u_kp1, u_km1,
-                             ge);
+    accumulate_material_step(model, src, k, dt, adj.u(), u_k, u_kp1, u_km1, ge);
   }
   return stats;
 }

@@ -14,17 +14,6 @@
 
 namespace quake::inverse {
 
-// Per-step gradient kernel shared by the stored and checkpointed paths:
-// ge += the step-k terms of dL/dmu (stiffness, dashpot, source).
-void accumulate_material_step(const wave2d::ShModel& model,
-                              const wave2d::FaultSource2d& src,
-                              const wave2d::SourceParams2d& p, int k, double dt,
-                              std::span<const double> lambda,
-                              const std::vector<double>* u_k,
-                              const std::vector<double>* u_kp1,
-                              const std::vector<double>* u_km1,
-                              std::span<double> ge);
-
 struct CheckpointStats {
   int checkpoints_stored = 0;
   int states_recomputed = 0;

@@ -4,15 +4,18 @@
 // ("algorithmic scalability of inversion algorithm for scalar 3D wave
 // equation case"): a fixed wave-propagation grid, a ladder of trilinear
 // material grids, Gauss-Newton-CG with an exact discrete adjoint. Known
-// point sources; receivers on the free surface.
+// Ricker point sources; receivers on the free surface. The forward,
+// adjoint, gradient and Gauss-Newton product are the shared substrate's
+// (wave_inversion.hpp); the point sources do not depend on the material.
 
 #include <span>
 #include <vector>
 
+#include "quake/inverse/wave_inversion.hpp"
 #include "quake/opt/cg.hpp"
 #include "quake/wave3d/scalar_model.hpp"
 
-namespace quake::wave3d {
+namespace quake::inverse {
 
 struct PointSource3d {
   int node = 0;
@@ -21,14 +24,10 @@ struct PointSource3d {
   double tc = 1.0;  // center time [s]
 };
 
-struct Setup3d {
-  ScalarGrid3d grid;
+struct Setup3d : Survey {
+  wave3d::ScalarGrid3d grid;
   double rho = 0.0;
   std::vector<PointSource3d> sources;
-  std::vector<int> receiver_nodes;
-  double dt = 0.0;
-  int nt = 0;
-  std::vector<std::vector<double>> observations;  // per receiver
 };
 
 class ScalarInversion3d {
@@ -37,36 +36,27 @@ class ScalarInversion3d {
 
   [[nodiscard]] const Setup3d& setup() const { return setup_; }
 
-  struct ForwardOut {
-    March3dResult march;
-    std::vector<std::vector<double>> residuals;
-    double misfit = 0.0;
-  };
-  ForwardOut forward(const ScalarModel3d& model, bool store_history) const;
+  ForwardOut forward(const wave3d::ScalarModel3d& model,
+                     bool store_history) const;
 
   // Adjoint in reversed time (lambda^{k+1} = result[nt-k-1]).
-  std::vector<std::vector<double>> adjoint(
-      const ScalarModel3d& model,
-      const std::vector<std::vector<double>>& driver) const;
+  History adjoint(const wave3d::ScalarModel3d& model,
+                  const Records& driver) const;
 
-  void assemble_gradient(const ScalarModel3d& model,
-                         const std::vector<std::vector<double>>& u,
-                         const std::vector<std::vector<double>>& nu,
-                         std::span<double> ge) const;
+  void assemble_gradient(const wave3d::ScalarModel3d& model, const History& u,
+                         const History& nu, std::span<double> ge) const;
 
-  void gauss_newton(const ScalarModel3d& model,
-                    const std::vector<std::vector<double>>& u,
+  void gauss_newton(const wave3d::ScalarModel3d& model, const History& u,
                     std::span<const double> dmu, std::span<double> h_dmu) const;
 
  private:
-  void add_sources(double t, std::span<double> f) const;
   Setup3d setup_;
 };
 
 // Trilinear material grid over the wave domain: mu_e = P m.
 class MaterialGrid3d {
  public:
-  MaterialGrid3d(const ScalarGrid3d& wave, int gx, int gy, int gz);
+  MaterialGrid3d(const wave3d::ScalarGrid3d& wave, int gx, int gy, int gz);
   [[nodiscard]] std::size_t n_params() const {
     return static_cast<std::size_t>((gx_ + 1) * (gy_ + 1) * (gz_ + 1));
   }
@@ -110,4 +100,4 @@ Inversion3dReport invert_material3d(const ScalarInversion3d& prob,
                                     const Inversion3dOptions& opt,
                                     std::span<const double> mu_target = {});
 
-}  // namespace quake::wave3d
+}  // namespace quake::inverse

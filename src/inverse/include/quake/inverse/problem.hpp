@@ -1,35 +1,49 @@
 #pragma once
 
-// The discrete PDE-constrained inverse problem of §3.1: forward antiplane
-// wave propagation, the (exactly discrete) adjoint wave equation solved
-// backward in time, first-order gradient assembly for the material field
-// and the source parameter fields, and the incremental (tangent) solves
-// that realize matrix-free Gauss-Newton Hessian-vector products. Every
-// derivative here is the exact transpose of the discrete forward recurrence
-// — verified against finite differences in the tests.
+// The discrete PDE-constrained inverse problem of §3.1 on the 2D antiplane
+// model: the fault source, forward, adjoint, material gradient and
+// Gauss-Newton product from the shared substrate (wave_inversion.hpp),
+// plus the source-parameter gradient and its incremental (tangent) solves.
+// Every derivative here is the exact transpose of the discrete forward
+// recurrence — verified against finite differences in the tests.
 
 #include <span>
 #include <vector>
 
+#include "quake/inverse/wave_inversion.hpp"
 #include "quake/wave2d/fault.hpp"
-#include "quake/wave2d/march.hpp"
 #include "quake/wave2d/sh_model.hpp"
 
 namespace quake::inverse {
 
-using History = std::vector<std::vector<double>>;   // [k][node], u^{k+1}
-using Records = std::vector<std::vector<double>>;   // [receiver][k]
-
-struct InversionSetup {
+struct InversionSetup : Survey {
   wave2d::ShGrid grid;
   double rho = 0.0;
   wave2d::Fault2d fault;
   wave2d::SourceParams2d source;   // true source (material inversion) or
                                    // current iterate (source inversion)
-  std::vector<int> receiver_nodes;
-  double dt = 0.0;
-  int nt = 0;
-  Records observations;            // d[r][k], matching receiver order
+};
+
+// The fault dipole at fixed parameters, as the substrate's source hook: its
+// forcing scales with the local mu, so it also supplies df/dmu.
+struct FaultForcing {
+  const wave2d::FaultSource2d& src;
+  const wave2d::SourceParams2d& p;
+
+  void add_forces(const wave2d::ShModel& model, double t,
+                  std::span<double> f) const {
+    src.add_forces(model, p, t, f);
+  }
+  void add_forces_delta_mu(const wave2d::ShModel& model,
+                           std::span<const double> dmu, double t,
+                           std::span<double> f) const {
+    src.add_forces_delta_mu(model, p, dmu, t, f);
+  }
+  void accumulate_material_form(const wave2d::ShModel& model, double t,
+                                std::span<const double> lambda,
+                                std::span<double> ge) const {
+    src.accumulate_material_form(model, p, t, lambda, ge);
+  }
 };
 
 class InversionProblem {
@@ -39,20 +53,13 @@ class InversionProblem {
   [[nodiscard]] const InversionSetup& setup() const { return setup_; }
   [[nodiscard]] const wave2d::FaultSource2d& source_op() const { return src_; }
 
-  struct ForwardOut {
-    wave2d::MarchResult march;
-    Records residuals;  // u_r - d_r per receiver and step
-    double misfit = 0.0;  // 1/2 dt sum_k sum_r residual^2
-  };
+  using ForwardOut = inverse::ForwardOut;
 
   // Forward solve for a given material (element mu) and source parameters.
   ForwardOut forward(const wave2d::ShModel& model,
                      const wave2d::SourceParams2d& p, bool store_history) const;
 
-  // Adjoint solve driven by per-receiver time series (residuals for the
-  // gradient; J*delta records for Gauss-Newton products). Returns the
-  // adjoint history in *reversed* time: result[tau] = nu^{tau+1},
-  // i.e. lambda^{k+1} = result[nt - k - 1].
+  // Reversed-time adjoint solve; see inverse::adjoint.
   History adjoint(const wave2d::ShModel& model,
                   const Records& driver) const;
 
@@ -65,13 +72,6 @@ class InversionProblem {
                                   const wave2d::SourceParams2d& p,
                                   const History& u, const History& nu,
                                   std::span<double> ge) const;
-
-  // f -= K'[dmu] u^k + C'[dmu] (u^{k+1} - u^{k-1}) / (2 dt): the stiffness
-  // and absorbing-boundary part of the step-k forcing of the incremental
-  // forward solve in material direction dmu about the forward history u.
-  void subtract_material_tangent(const wave2d::ShModel& model,
-                                 const History& u, std::span<const double> dmu,
-                                 int k, std::span<double> f) const;
 
   // Records of the incremental forward solve in material direction dmu
   // (the J*dmu needed by the Gauss-Newton product).
@@ -108,9 +108,6 @@ class InversionProblem {
                            const wave2d::SourceParams2d& p,
                            std::span<const double> d_stacked,
                            std::span<double> h_stacked) const;
-
-  // Misfit of given records vs the observations.
-  [[nodiscard]] double misfit_of(const Records& records) const;
 
  private:
   InversionSetup setup_;

@@ -1,4 +1,4 @@
-#include "quake/wave3d/inversion3d.hpp"
+#include "quake/inverse/inversion3d.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -11,7 +11,11 @@
 #include "quake/util/log.hpp"
 #include "quake/util/stats.hpp"
 
-namespace quake::wave3d {
+namespace quake::inverse {
+
+using wave3d::ScalarGrid3d;
+using wave3d::ScalarModel3d;
+
 namespace {
 
 double ricker(double t, double fp, double tc) {
@@ -19,124 +23,50 @@ double ricker(double t, double fp, double tc) {
   return (1.0 - 2.0 * a * a) * std::exp(-a * a);
 }
 
-const std::vector<double>* state_at(
-    const std::vector<std::vector<double>>& u, int k) {
-  if (k <= 0) return nullptr;
-  return &u[static_cast<std::size_t>(k - 1)];
-}
+// The substrate's source hook for the Ricker point sources, which do not
+// depend on the material.
+struct PointForces {
+  const std::vector<PointSource3d>& sources;
+
+  void add_forces(const ScalarModel3d&, double t, std::span<double> f) const {
+    for (const PointSource3d& s : sources) {
+      f[static_cast<std::size_t>(s.node)] += s.amplitude * ricker(t, s.fp, s.tc);
+    }
+  }
+};
 
 }  // namespace
 
 ScalarInversion3d::ScalarInversion3d(Setup3d setup)
     : setup_(std::move(setup)) {
   setup_.grid.validate();
-  if (!(setup_.dt > 0.0) || setup_.nt < 1) {
-    throw std::invalid_argument("ScalarInversion3d: bad dt/nt");
-  }
+  setup_.validate("ScalarInversion3d");
 }
 
-void ScalarInversion3d::add_sources(double t, std::span<double> f) const {
-  for (const PointSource3d& s : setup_.sources) {
-    f[static_cast<std::size_t>(s.node)] += s.amplitude * ricker(t, s.fp, s.tc);
-  }
+ForwardOut ScalarInversion3d::forward(const ScalarModel3d& model,
+                                      bool store_history) const {
+  return inverse::forward(setup_, model, PointForces{setup_.sources},
+                          store_history);
 }
 
-ScalarInversion3d::ForwardOut ScalarInversion3d::forward(
-    const ScalarModel3d& model, bool store_history) const {
-  ForwardOut out;
-  out.march = time_march3d(
-      model, setup_.dt, setup_.nt,
-      [this](int, double t, std::span<double> f) { add_sources(t, f); },
-      setup_.receiver_nodes, store_history);
-  if (!setup_.observations.empty()) {
-    out.residuals.resize(out.march.records.size());
-    double j = 0.0;
-    for (std::size_t r = 0; r < out.march.records.size(); ++r) {
-      out.residuals[r].resize(out.march.records[r].size());
-      for (std::size_t k = 0; k < out.march.records[r].size(); ++k) {
-        const double res =
-            out.march.records[r][k] - setup_.observations[r][k];
-        out.residuals[r][k] = res;
-        j += res * res;
-      }
-    }
-    out.misfit = 0.5 * setup_.dt * j;
-  }
-  return out;
+History ScalarInversion3d::adjoint(const ScalarModel3d& model,
+                                   const Records& driver) const {
+  return inverse::adjoint(setup_, model, driver);
 }
 
-std::vector<std::vector<double>> ScalarInversion3d::adjoint(
-    const ScalarModel3d& model,
-    const std::vector<std::vector<double>>& driver) const {
-  const int nt = setup_.nt;
-  const double inv_dt = 1.0 / setup_.dt;
-  March3dResult res = time_march3d(
-      model, setup_.dt, nt,
-      [&](int k, double, std::span<double> f) {
-        const int obs = nt - k - 1;
-        for (std::size_t r = 0; r < setup_.receiver_nodes.size(); ++r) {
-          f[static_cast<std::size_t>(setup_.receiver_nodes[r])] -=
-              driver[r][static_cast<std::size_t>(obs)] * inv_dt;
-        }
-      },
-      {}, /*store_history=*/true);
-  return std::move(res.history);
+void ScalarInversion3d::assemble_gradient(const ScalarModel3d& model,
+                                          const History& u, const History& nu,
+                                          std::span<double> ge) const {
+  assemble_material_gradient(setup_, model, PointForces{setup_.sources}, u, nu,
+                             ge);
 }
 
-void ScalarInversion3d::assemble_gradient(
-    const ScalarModel3d& model, const std::vector<std::vector<double>>& u,
-    const std::vector<std::vector<double>>& nu, std::span<double> ge) const {
-  const int nt = setup_.nt;
-  const double dt = setup_.dt;
-  const std::size_t n = static_cast<std::size_t>(setup_.grid.n_nodes());
-  std::vector<double> scaled(n), diff(n);
-  for (int k = 0; k < nt; ++k) {
-    const std::vector<double>& lambda =
-        nu[static_cast<std::size_t>(nt - k - 1)];
-    if (const auto* uk = state_at(u, k)) {
-      for (std::size_t i = 0; i < n; ++i) scaled[i] = dt * dt * lambda[i];
-      model.accumulate_k_form(scaled, *uk, ge);
-    }
-    const auto* up = state_at(u, k + 1);
-    const auto* um = state_at(u, k - 1);
-    if (up != nullptr || um != nullptr) {
-      for (std::size_t i = 0; i < n; ++i) {
-        diff[i] = (up ? (*up)[i] : 0.0) - (um ? (*um)[i] : 0.0);
-      }
-      for (std::size_t i = 0; i < n; ++i) scaled[i] = 0.5 * dt * lambda[i];
-      model.accumulate_c_form(scaled, diff, ge);
-    }
-  }
-}
-
-void ScalarInversion3d::gauss_newton(
-    const ScalarModel3d& model, const std::vector<std::vector<double>>& u,
-    std::span<const double> dmu, std::span<double> h_dmu) const {
-  const std::size_t n = static_cast<std::size_t>(setup_.grid.n_nodes());
-  std::vector<double> diff(n), tmp(n);
-  March3dResult inc = time_march3d(
-      model, setup_.dt, setup_.nt,
-      [&](int k, double, std::span<double> f) {
-        if (const auto* uk = state_at(u, k)) {
-          std::fill(tmp.begin(), tmp.end(), 0.0);
-          model.apply_k_delta(dmu, *uk, tmp);
-          for (std::size_t i = 0; i < n; ++i) f[i] -= tmp[i];
-        }
-        const auto* up = state_at(u, k + 1);
-        const auto* um = state_at(u, k - 1);
-        if (up != nullptr || um != nullptr) {
-          for (std::size_t i = 0; i < n; ++i) {
-            diff[i] = (up ? (*up)[i] : 0.0) - (um ? (*um)[i] : 0.0);
-          }
-          std::fill(tmp.begin(), tmp.end(), 0.0);
-          model.apply_c_delta(dmu, diff, tmp);
-          const double s = 1.0 / (2.0 * setup_.dt);
-          for (std::size_t i = 0; i < n; ++i) f[i] -= s * tmp[i];
-        }
-      },
-      setup_.receiver_nodes, /*store_history=*/false);
-  const auto nu = adjoint(model, inc.records);
-  assemble_gradient(model, u, nu, h_dmu);
+void ScalarInversion3d::gauss_newton(const ScalarModel3d& model,
+                                     const History& u,
+                                     std::span<const double> dmu,
+                                     std::span<double> h_dmu) const {
+  gauss_newton_material(setup_, model, PointForces{setup_.sources}, u, dmu,
+                        h_dmu);
 }
 
 MaterialGrid3d::MaterialGrid3d(const ScalarGrid3d& wave, int gx, int gy,
@@ -268,7 +198,7 @@ Inversion3dReport invert_material3d(const ScalarInversion3d& prob,
         std::make_shared<const ScalarModel3d>(setup.grid, mu, setup.rho);
     const auto fwd = [&] {
       QUAKE_OBS_SCOPE("forward");
-      return std::make_shared<const ScalarInversion3d::ForwardOut>(
+      return std::make_shared<const ForwardOut>(
           prob.forward(*model, /*history=*/true));
     }();
     opt::GnLinearization lin;
@@ -342,4 +272,4 @@ Inversion3dReport invert_material3d(const ScalarInversion3d& prob,
   return report;
 }
 
-}  // namespace quake::wave3d
+}  // namespace quake::inverse

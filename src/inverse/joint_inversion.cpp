@@ -9,7 +9,6 @@
 #include "quake/obs/obs.hpp"
 #include "quake/opt/gauss_newton.hpp"
 #include "quake/util/stats.hpp"
-#include "quake/wave2d/march.hpp"
 
 namespace quake::inverse {
 
@@ -116,13 +115,12 @@ JointInversionResult invert_joint(const InversionProblem& prob,
       // Combined incremental forward: material terms + source-parameter
       // terms in one rhs.
       const History& u = fwd->march.history;
-      wave2d::MarchOptions mo{setup.dt, setup.nt};
-      auto inc = wave2d::time_march(
-          *model, mo,
+      auto inc = march(
+          *model, setup.dt, setup.nt,
           [&](int k, double t, std::span<double> f) {
             src.add_forces_delta_mu(*model, p, dmu, t, f);
             src.add_forces_delta_params(*model, p, du0, dt0, dT, t, f);
-            prob.subtract_material_tangent(*model, u, dmu, k, f);
+            subtract_material_tangent(*model, setup.dt, u, dmu, k, f);
           },
           setup.receiver_nodes, /*store_history=*/false);
 

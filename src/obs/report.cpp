@@ -5,6 +5,23 @@
 #include <stdexcept>
 
 namespace quake::obs {
+namespace {
+
+// Converting a double outside the target type's range is undefined, so
+// decoded integer fields are range-checked first (NaN fails both tests).
+// max/2 + 1 is a power of two, so the exclusive upper bound is exact.
+template <class T>
+T checked_cast(double v) {
+  constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
+  constexpr double hi =
+      2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+  if (!(v >= lo && v < hi)) {
+    throw std::runtime_error("decode_report: value out of range");
+  }
+  return static_cast<T>(v);
+}
+
+}  // namespace
 
 std::vector<double> encode_report(const RankReport& report) {
   std::vector<double> out;
@@ -47,9 +64,11 @@ RankReport decode_report(std::span<const double> data) {
     }
     return data[pos++];
   };
+  // Every counted item takes at least one more double, so a count larger
+  // than what is left is a lie (and must not size an allocation).
   auto next_count = [&]() -> std::size_t {
     const double v = next();
-    if (!(v >= 0.0) || v > 1e12) {
+    if (!(v >= 0.0) || v > static_cast<double>(data.size() - pos)) {
       throw std::runtime_error("decode_report: bad count");
     }
     return static_cast<std::size_t>(v);
@@ -58,18 +77,18 @@ RankReport decode_report(std::span<const double> data) {
     const std::size_t n = next_count();
     std::string s(n, '\0');
     for (std::size_t i = 0; i < n; ++i) {
-      s[i] = static_cast<char>(next());
+      s[i] = checked_cast<char>(next());
     }
     return s;
   };
 
   RankReport r;
-  r.rank = static_cast<int>(next());
+  r.rank = checked_cast<int>(next());
   const std::size_t n_scopes = next_count();
   for (std::size_t i = 0; i < n_scopes; ++i) {
     std::string k = next_str();
     ScopeStats s;
-    s.calls = static_cast<std::uint64_t>(next());
+    s.calls = checked_cast<std::uint64_t>(next());
     s.seconds = next();
     r.metrics.scopes.emplace(std::move(k), s);
   }
@@ -77,7 +96,7 @@ RankReport decode_report(std::span<const double> data) {
   for (std::size_t i = 0; i < n_counters; ++i) {
     std::string k = next_str();
     r.metrics.counters.emplace(std::move(k),
-                               static_cast<std::int64_t>(next()));
+                               checked_cast<std::int64_t>(next()));
   }
   const std::size_t n_gauges = next_count();
   for (std::size_t i = 0; i < n_gauges; ++i) {

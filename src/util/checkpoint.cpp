@@ -207,7 +207,9 @@ SnapshotLoadStatus load_snapshot_status(const std::string& path,
     if (!get({buf.data(), payload}, off, &count)) {
       return SnapshotLoadStatus::kCorrupt;
     }
-    if (off + count * sizeof(double) > payload) {
+    // Compare by division: count * sizeof(double) can wrap for a lying
+    // count and slip past an addition-based bound.
+    if (count > (payload - off) / sizeof(double)) {
       return SnapshotLoadStatus::kCorrupt;
     }
     std::vector<double> data(static_cast<std::size_t>(count));

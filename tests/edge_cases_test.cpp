@@ -7,6 +7,8 @@
 #include <cmath>
 
 #include "quake/fem/hex_element.hpp"
+#include "quake/inverse/inversion3d.hpp"
+#include "quake/inverse/problem.hpp"
 #include "quake/mesh/meshgen.hpp"
 #include "quake/octree/linear_octree.hpp"
 #include "quake/opt/frankel.hpp"
@@ -15,7 +17,6 @@
 #include "quake/solver/sh1d.hpp"
 #include "quake/solver/source.hpp"
 #include "quake/util/stats.hpp"
-#include "quake/wave2d/march.hpp"
 #include "quake/wave2d/sh_model.hpp"
 #include "quake/wave3d/scalar_model.hpp"
 
@@ -121,13 +122,13 @@ TEST(EdgeCases, MarchValidation) {
   const wave2d::ShModel m(
       g, std::vector<double>(static_cast<std::size_t>(g.n_elems()), 1e9),
       1000.0);
-  EXPECT_THROW(wave2d::time_march(m, {0.0, 10},
-                                  [](int, double, std::span<double>) {}, {},
-                                  false),
+  EXPECT_THROW(inverse::march(m, 0.0, 10,
+                              [](int, double, std::span<double>) {}, {},
+                              false),
                std::invalid_argument);
-  EXPECT_THROW(wave2d::time_march(m, {0.01, 0},
-                                  [](int, double, std::span<double>) {}, {},
-                                  false),
+  EXPECT_THROW(inverse::march(m, 0.01, 0,
+                              [](int, double, std::span<double>) {}, {},
+                              false),
                std::invalid_argument);
 }
 
@@ -136,6 +137,46 @@ TEST(EdgeCases, Grid3dValidation) {
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   wave3d::ScalarGrid3d g{2, 2, 2, 10.0};
   EXPECT_THROW(wave3d::ScalarModel3d(g, std::vector<double>(7, 1e9), 1000.0),
+               std::invalid_argument);
+}
+
+// A missing or short observation series would be read out of bounds by
+// the forward misfit; the constructor must reject it before any solve.
+TEST(EdgeCases, InversionProblemRejectsBadObservations) {
+  inverse::InversionSetup s;
+  s.grid = {8, 6, 100.0};
+  s.rho = 2000.0;
+  s.fault = {4, 1, 4};
+  s.source = wave2d::make_rupture_params(s.grid, s.fault, 1.0, 0.2, 2, 2500.0);
+  s.receiver_nodes = {s.grid.node(2, 0), s.grid.node(6, 0)};
+  s.dt = 0.01;
+  s.nt = 12;
+  const wave2d::ShModel m(
+      s.grid, std::vector<double>(static_cast<std::size_t>(s.grid.n_elems()),
+                                  2e9),
+      s.rho);
+  s.observations = {std::vector<double>(12, 0.0), std::vector<double>(5, 0.0)};
+  EXPECT_THROW((void)inverse::InversionProblem(s).forward(m, s.source, false),
+               std::invalid_argument);
+}
+
+TEST(EdgeCases, ScalarInversion3dRejectsBadObservations) {
+  inverse::Setup3d s;
+  s.grid = {3, 3, 3, 100.0};
+  s.rho = 2000.0;
+  s.sources = {{s.grid.node(1, 1, 2), 1e9, 2.0, 0.5}};
+  s.receiver_nodes = {s.grid.node(1, 1, 0), s.grid.node(2, 2, 0)};
+  s.dt = 0.005;
+  s.nt = 12;
+  const wave3d::ScalarModel3d m(
+      s.grid, std::vector<double>(static_cast<std::size_t>(s.grid.n_elems()),
+                                  2e9),
+      s.rho);
+  s.observations = {std::vector<double>(12, 0.0)};  // one receiver unobserved
+  EXPECT_THROW((void)inverse::ScalarInversion3d(s).forward(m, false),
+               std::invalid_argument);
+  s.observations = {std::vector<double>(12, 0.0), std::vector<double>(11, 0.0)};
+  EXPECT_THROW((void)inverse::ScalarInversion3d(s).forward(m, false),
                std::invalid_argument);
 }
 

@@ -1684,6 +1684,12 @@ TEST_F(ParallelRecovery, StaleDonationGenerationStillRepairsTier1) {
 // generation) share a ghost edge whose span no fresh thread's empty log
 // can serve: the three-round agreement votes tier-1 down and the whole
 // job degrades to donation-aware rollback — still bit-identical.
+//
+// Both kills must land in the same recovery epoch. A run-control
+// agreement (an all-reduce whose completion a later poison cannot undo)
+// sits directly before the kill step's fault point, with no other
+// communication in between, so both victims die after the same collective
+// no matter how the scheduler orders them.
 TEST_F(ParallelRecovery, OverlappingVictimsDegradeToTier2) {
   const auto mesh = small_basin_mesh();
   solver::OperatorOptions oo;
@@ -1697,7 +1703,7 @@ TEST_F(ParallelRecovery, OverlappingVictimsDegradeToTier2) {
   const std::array<double, 3> rxs[] = {{14000.0, 9000.0, 0.0}};
   constexpr int R = 8;
   const Partition part = partition_sfc(mesh, R);
-  const ParallelSetup setup(mesh, part, oo, so);
+  ParallelSetup setup(mesh, part, oo, so);
   const auto adj = setup.neighbor_ranks();
   // An adjacent victim pair that is still non-consecutive in the buddy
   // ring, so both donors survive and the overlap is the only obstacle.
@@ -1738,7 +1744,11 @@ TEST_F(ParallelRecovery, OverlappingVictimsDegradeToTier2) {
   ft.max_retries = 1;
   ft.max_revives = 2;
   ft.fault_plan = &plan;
-  const ParallelResult pr = run_parallel(mesh, part, oo, so, sources, rxs, ft);
+  const std::atomic<bool> never_cancel{false};
+  const RunControl kill_step_agreement{.cancel = &never_cancel,
+                                       .check_every = kill_at};
+  const ParallelResult pr =
+      setup.run(so.t_end, sources, rxs, ft, kill_step_agreement);
 
   expect_bit_identical(pr, ref);
   EXPECT_EQ(counter_sum(pr, "par/replay_fallbacks"), static_cast<double>(R));

@@ -6,12 +6,13 @@
 #include <cmath>
 #include <vector>
 
+#include "quake/inverse/wave_inversion.hpp"
 #include "quake/util/rng.hpp"
 #include "quake/util/stats.hpp"
 #include "quake/wave2d/fault.hpp"
-#include "quake/wave2d/march.hpp"
 #include "quake/wave2d/sh_model.hpp"
 #include "quake/wave2d/stf.hpp"
+#include "quake/wave3d/scalar_model.hpp"
 
 namespace {
 
@@ -98,8 +99,8 @@ TEST(March, EnergyBoundedAndDecays) {
   const int nt = 1200;
   // Point-load burst in the interior.
   const int src_node = g.node(12, 8);
-  MarchResult out = time_march(
-      m, {dt, nt},
+  inverse::MarchResult out = inverse::march(
+      m, dt, nt,
       [&](int k, double, std::span<double> f) {
         if (k < 20) f[static_cast<std::size_t>(src_node)] = 1e9;
       },
@@ -118,8 +119,8 @@ TEST(March, RecordsMatchHistory) {
   const ShModel m = homogeneous(g);
   const double dt = m.stable_dt(0.5);
   const int rx = g.node(5, 0);
-  MarchResult out = time_march(
-      m, {dt, 100},
+  inverse::MarchResult out = inverse::march(
+      m, dt, 100,
       [&](int k, double, std::span<double> f) {
         if (k == 0) f[static_cast<std::size_t>(g.node(12, 8))] = 1e9;
       },
@@ -130,34 +131,64 @@ TEST(March, RecordsMatchHistory) {
   }
 }
 
-TEST(Stepper, MatchesMarch) {
-  const ShGrid g = grid24();
-  const ShModel m = homogeneous(g);
+// The stepper cases run on both inversion models: a point load near the
+// middle of a homogeneous grid, at half the stable step.
+template <class M>
+struct StepperCase;
+
+template <>
+struct StepperCase<ShModel> {
+  static ShModel model() { return homogeneous(grid24()); }
+  static int source_node(const ShModel& m) { return m.grid().node(10, 5); }
+};
+
+template <>
+struct StepperCase<wave3d::ScalarModel3d> {
+  static wave3d::ScalarModel3d model() {
+    const wave3d::ScalarGrid3d g{8, 8, 8, 100.0};
+    return wave3d::ScalarModel3d(
+        g, std::vector<double>(static_cast<std::size_t>(g.n_elems()), 2e9),
+        2200.0);
+  }
+  static int source_node(const wave3d::ScalarModel3d& m) {
+    return m.grid().node(4, 4, 3);
+  }
+};
+
+template <class M>
+class Stepper : public ::testing::Test {};
+
+using InversionModels = ::testing::Types<ShModel, wave3d::ScalarModel3d>;
+TYPED_TEST_SUITE(Stepper, InversionModels);
+
+TYPED_TEST(Stepper, MatchesMarch) {
+  const TypeParam m = StepperCase<TypeParam>::model();
+  const int src = StepperCase<TypeParam>::source_node(m);
   const double dt = m.stable_dt(0.5);
-  const RhsFn rhs = [&](int k, double, std::span<double> f) {
-    if (k < 5) f[static_cast<std::size_t>(g.node(10, 5))] = 1e8;
+  const inverse::RhsFn rhs = [&](int k, double, std::span<double> f) {
+    if (k < 5) f[static_cast<std::size_t>(src)] = 1e8;
   };
-  MarchResult out = time_march(m, {dt, 50}, rhs, {}, true);
-  ShStepper st(m, dt);
+  inverse::MarchResult out = inverse::march(m, dt, 50, rhs, {}, true);
+  inverse::Stepper<TypeParam> st(m, dt);
   for (int k = 0; k < 50; ++k) {
     st.step(k, rhs);
     EXPECT_LT(util::diff_l2(st.u(), out.history[static_cast<std::size_t>(k)]), 1e-14);
   }
 }
 
-TEST(Stepper, RestartFromStoredStateIsExact) {
-  const ShGrid g = grid24();
-  const ShModel m = homogeneous(g);
+TYPED_TEST(Stepper, RestartFromStoredStateIsExact) {
+  const TypeParam m = StepperCase<TypeParam>::model();
+  const int src = StepperCase<TypeParam>::source_node(m);
   const double dt = m.stable_dt(0.5);
-  const RhsFn rhs = [&](int k, double, std::span<double> f) {
-    if (k < 5) f[static_cast<std::size_t>(g.node(10, 5))] = 1e8;
+  const inverse::RhsFn rhs = [&](int k, double, std::span<double> f) {
+    if (k < 5) f[static_cast<std::size_t>(src)] = 1e8;
   };
-  ShStepper a(m, dt);
+  inverse::Stepper<TypeParam> a(m, dt);
   for (int k = 0; k < 20; ++k) a.step(k, rhs);
   const std::vector<double> u20 = a.u(), u19 = a.u_prev();
   for (int k = 20; k < 40; ++k) a.step(k, rhs);
 
-  ShStepper b(m, dt);
+  inverse::Stepper<TypeParam> b(m, dt);
   b.set_state(u20, u19);
   for (int k = 20; k < 40; ++k) b.step(k, rhs);
   EXPECT_LT(util::diff_l2(a.u(), b.u()), 1e-15);

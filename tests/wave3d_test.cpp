@@ -9,14 +9,15 @@
 #include <string>
 #include <vector>
 
+#include "quake/inverse/inversion3d.hpp"
 #include "quake/util/rng.hpp"
 #include "quake/util/stats.hpp"
-#include "quake/wave3d/inversion3d.hpp"
 #include "quake/wave3d/scalar_model.hpp"
 
 namespace {
 
 using namespace quake;
+using namespace quake::inverse;
 using namespace quake::wave3d;
 
 constexpr double kRho = 2200.0;
@@ -124,7 +125,7 @@ TEST(Model3d, WavesAbsorbed) {
       g, std::vector<double>(static_cast<std::size_t>(g.n_elems()), 2e9),
       kRho);
   const double dt = m.stable_dt(0.4);
-  auto out = time_march3d(
+  auto out = inverse::march(
       m, dt, 600,
       [&](int k, double, std::span<double> f) {
         if (k < 10) f[static_cast<std::size_t>(g.node(4, 4, 4))] = 1e10;

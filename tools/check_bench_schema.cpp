@@ -13,7 +13,9 @@
 // name pin evidence obligations: "throughput" (warm A/B numbers, zero
 // failed requests in the clean trial, a lane sweep at >= 2 lane counts
 // with bitwise-checked requests/sec, bitwise kill isolation), "fig2_1"
-// (per-phase store statistics with sane pool hit rates), and "table2_1"
+// (per-phase store statistics with sane pool hit rates), "table3_1" (both
+// the sh2d and scalar3d ladders, every row with Newton steps, a finite
+// gradient reduction <= 1 and a finite model error), and "table2_1"
 // (fault-sweep rows carry all six sweep policies with the
 // recover/agree|restore|replay|resume breakdown, a zero-rollback replay
 // row, and a rolled-back rollback row; ladder rows carry the global-dt
@@ -21,6 +23,7 @@
 // evidence — see check_table2_1_lts_contract). Exits 0 on success, 1 with
 // a diagnostic on the first violation.
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -538,6 +541,39 @@ bool check_fig2_1_contract(const Json& rows) {
   return true;
 }
 
+// The table3_1 bench runs the inversion ladder on both models — the 2D
+// antiplane problem ("sh2d") and the paper's scalar 3D setting
+// ("scalar3d") — through one shared substrate; the report must show both
+// ladders and that every row actually ran Newton steps that did not
+// increase the gradient, so a refactor cannot silently drop either ladder.
+bool check_table3_1_contract(const Json& rows) {
+  g_context += " (table3_1 contract)";
+  bool sh2d = false, scalar3d = false;
+  std::size_t i = 0;
+  for (const Json& row : rows.items()) {
+    const std::string where = "row " + std::to_string(i++);
+    sh2d = sh2d || param_is(row, "problem", "sh2d");
+    scalar3d = scalar3d || param_is(row, "problem", "scalar3d");
+    const Json* m = row.find("metrics");
+    const Json* newton = m == nullptr ? nullptr : m->find("newton_iters");
+    if (!is_number(newton) || !(newton->as_number() >= 1.0)) {
+      return fail(where + " needs metrics.newton_iters >= 1");
+    }
+    const Json* red = m->find("grad_reduction");
+    if (!is_number(red) || !std::isfinite(red->as_number()) ||
+        red->as_number() > 1.0) {
+      return fail(where + " needs a finite metrics.grad_reduction <= 1");
+    }
+    const Json* err = m->find("model_error");
+    if (!is_number(err) || !std::isfinite(err->as_number())) {
+      return fail(where + " needs a finite metrics.model_error");
+    }
+  }
+  if (!sh2d) return fail("no row with params.problem == \"sh2d\"");
+  if (!scalar3d) return fail("no row with params.problem == \"scalar3d\"");
+  return true;
+}
+
 bool check_series(const Json& series) {
   if (!series.is_object()) return fail("\"series\" is not an object");
   for (const auto& [name, arr] : series.members()) {
@@ -661,6 +697,10 @@ int main(int argc, char** argv) {
   }
   g_context = file;
   if (bench->as_string() == "fig2_1" && !check_fig2_1_contract(*rows)) {
+    return 1;
+  }
+  g_context = file;
+  if (bench->as_string() == "table3_1" && !check_table3_1_contract(*rows)) {
     return 1;
   }
   g_context = file;
